@@ -1,0 +1,9 @@
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+for p in (ROOT, BENCH):
+    if p not in sys.path:
+        sys.path.insert(0, p)
