@@ -24,11 +24,16 @@ into the streaming executor):
    ``structures.py:587-616``), missing regions are nodata-filled
    (``imagereader.py:102-121``), the user function runs on dense
    ``(bands, ys+2m, xs+2m)`` arrays, outputs are margin-trimmed
-   (``imagewriter.py:44-47``) and emitted as tile rows.
+   (``imagewriter.py:44-47``) and emitted as tile rows, each with its
+   single-pass stats partial, beside one overview tile per level (the
+   reference's single-pass manager, ``calcstats.py:400-616``).
 4. **Write (one pass)**: all outputs stream to parquet partitioned by
-   output name; per-block ``other_args`` copies ride along as a side
-   partition and are returned for user-side merging (the ST5 contract,
-   ``applier.py:1182-1192``).
+   output name, overview rows under ``<name>.ovr``; per-block
+   ``other_args`` copies ride along as a side partition and are returned for user-side merging (the ST5
+   contract, ``applier.py:1182-1192``).
+5. **Close (one more job per output)**: tiles rewrite to the canonical
+   layout; stats partials and overview tiles are merged / copied on the
+   driver without re-reading the pixels.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import copy
 import os
 import shutil
+import warnings
 
 from ray import cloudpickle as pickle
 from dataclasses import dataclass, field
@@ -55,9 +61,12 @@ from .gridmodel import (
     PixelGrid,
     find_common_region,
 )
-from .sources.tileraster import TileRasterInfo, write_tile_raster
+from .sources.tileraster import TileRasterInfo
+from .stats import PARTIAL_SCHEMA, make_partials_fn, merge_partials, tile_partial
+from .tiles import decimate_block, decimate_tile_batch, overview_levels, overview_schema
 
 OTHERARGS_NAME = "__otherargs__"
+OVERVIEW_SUFFIX = ".ovr"  # scratch partition of output X's overview rows: X.ovr
 
 
 class ResampleNeededError(ValueError):
@@ -78,9 +87,15 @@ class ApplierControls:
     variants (``imagename`` last arg) store through the generic
     override channel; ``getOptionForImagename`` resolves override →
     global.  Setters whose GDAL concept collapses under Ray
-    (concurrency style, gdalwarp overview use, single-pass toggles)
+    (concurrency style, gdalwarp overview use, single-pass pyramids)
     accept and record their value so reference scripts run unchanged —
-    each documents what the engine does instead."""
+    each documents what the engine does instead.
+
+    Stats and pyramids are single-pass: the block task that runs the
+    user function also emits one stats partial per (block, band) and
+    one overview tile per (block, band, level), so closing an output
+    re-reads nothing.  Stats recompute from the written tiles only for
+    ``setSinglePass{BasicStats,Histogram}(False)``."""
 
     window_xsize: int = DEFAULT_BLOCK_XSIZE
     window_ysize: int = DEFAULT_BLOCK_YSIZE
@@ -231,8 +246,10 @@ class ApplierControls:
         self._set("overview_agg_type", str(agg).upper(), imagename)
 
     def setApproxStats(self, flag, imagename=None):
-        """Sampled (approximate) stats at close (reference
-        applier.py:823-844; the CLI calcstats 'approx' path)."""
+        """Sampled (approximate) stats (reference applier.py:823-844;
+        the CLI calcstats 'approx' path): the block task takes every
+        other row and column of each block, a deterministic 1/4 of the
+        pixels whatever the block layout."""
         self._set("approx_stats", flag, imagename)
 
     def setAutoColorTableType(self, colortype, imagename=None):
@@ -297,17 +314,21 @@ class ApplierControls:
         self.allow_overviews_gdalwarp = bool(flag)
 
     def setSinglePassPyramids(self, flag, imagename=None):
-        """Recorded only: overviews always build as one streamed
-        decimation pass over the written tiles."""
+        """Recorded only: overviews are always decimated inside the
+        block task from each full-resolution block (with a
+        ``callBeforeClose`` hook, from the post-hook table at close)."""
         self._set("single_pass_pyramids", flag, imagename)
 
     def setSinglePassBasicStats(self, flag, imagename=None):
-        """Recorded only: stats always recompute from the written tiles
-        in one streamed pass (the reference's at-close semantics)."""
+        """``True``/``None`` (default): stats partials come out of the
+        block task and merge at close.  ``False``: exact stats recompute
+        at close with one streamed re-read of the written tiles (the
+        reference's at-close semantics); same values, one more job."""
         self._set("single_pass_basic_stats", flag, imagename)
 
     def setSinglePassHistogram(self, flag, imagename=None):
-        """Recorded only (see :meth:`setSinglePassBasicStats`)."""
+        """As :meth:`setSinglePassBasicStats`: ``False`` recomputes the
+        whole stats block, histogram included, at close."""
         self._set("single_pass_histogram", flag, imagename)
 
     def selectInputImageLayers(self, layers, imagename):
@@ -455,7 +476,12 @@ OUT_SCHEMA = pa.schema(
         # checkForNanOrInf at write, warned once per file at close)
         ("nonfinite", pa.bool_()),
         ("payload", pa.binary()),
+        # 1: a full-resolution tile; N > 1: an overview tile of level N
+        # (name X.ovr), its position and shape in overview pixels
+        ("level", pa.int32()),
     ]
+    # the single-pass stats partial of a full-resolution tile
+    + list(PARTIAL_SCHEMA)[3:]
 )
 
 
@@ -556,9 +582,13 @@ class _ProgressState:
 
 
 def make_assemble_fn(user_fn, input_meta: dict, wg: PixelGrid, B_y: int, B_x: int,
-                     margin: int, other_args=None, progress_actor=None):
+                     margin: int, other_args=None, progress_actor=None,
+                     side: dict | None = None):
     """groupby(block_id).map_groups body: align inputs, nodata-fill, run
-    the user function, margin-trim outputs."""
+    the user function, margin-trim outputs.  ``side`` (output name ->
+    :func:`_side_plan`) asks for each output's stats partials and
+    overview tiles, emitted from the trimmed block beside its tile rows."""
+    side = side or {}
     wg_nrows, wg_ncols = wg.dimensions()
     nbx = -(-wg_ncols // B_x)
     nby = -(-wg_nrows // B_y)
@@ -609,46 +639,47 @@ def make_assemble_fn(user_fn, input_meta: dict, wg: PixelGrid, B_y: int, B_x: in
             user_fn(info, inputs, outputs)
 
         out_rows = []
+
+        def emit(**row):
+            out_rows.append({
+                "tile_y": top // B_y, "tile_x": left // B_x, "top": top,
+                "left": left, "nrows": ys, "ncols": xs, "level": 1,
+                "nonfinite": False, **row,
+            })
+
         for name, arr in vars(outputs).items():
             arr = np.asarray(arr)
             if arr.ndim == 2:
                 arr = arr[None, :, :]
             if margin:
                 arr = arr[:, margin:-margin or None, margin:-margin or None]
+            plan = side.get(name, {})
             for b in range(arr.shape[0]):
-                out_rows.append(
-                    {
-                        "name": name,
-                        "tile_y": top // B_y,
-                        "tile_x": left // B_x,
-                        "top": top,
-                        "left": left,
-                        "nrows": ys,
-                        "ncols": xs,
-                        "band": b,
-                        "dtype": str(arr.dtype),
-                        "nonfinite": bool(
-                            arr.dtype.kind in "fc" and not np.isfinite(arr[b]).all()
-                        ),
-                        "payload": np.ascontiguousarray(arr[b]).tobytes(),
-                    }
+                plane = np.ascontiguousarray(arr[b])
+                partial = {"band": b}
+                if plan.get("stats"):
+                    step = plan["step"]
+                    partial = tile_partial(plane[::step, ::step], *plan["stats"]).to_row(b)
+                emit(
+                    name=name, dtype=str(arr.dtype),
+                    nonfinite=bool(
+                        arr.dtype.kind in "fc" and not np.isfinite(plane).all()
+                    ),
+                    payload=plane.tobytes(), **partial,
                 )
+                for lvl in plan.get("levels", ()):
+                    sub, dst_top, dst_left = decimate_block(plane, top, left, lvl)
+                    if sub.size:
+                        emit(
+                            name=name + OVERVIEW_SUFFIX, band=b, dtype=str(arr.dtype),
+                            level=lvl,
+                            top=dst_top, left=dst_left, nrows=sub.shape[0],
+                            ncols=sub.shape[1],
+                            payload=np.ascontiguousarray(sub).tobytes(),
+                        )
         if oa is not None:
-            out_rows.append(
-                {
-                    "name": OTHERARGS_NAME,
-                    "tile_y": top // B_y,
-                    "tile_x": left // B_x,
-                    "top": top,
-                    "left": left,
-                    "nrows": ys,
-                    "ncols": xs,
-                    "band": -1,
-                    "dtype": "object",
-                    "nonfinite": False,
-                    "payload": pickle.dumps(oa),
-                }
-            )
+            emit(name=OTHERARGS_NAME, band=-1, dtype="object",
+                 payload=pickle.dumps(oa))
         return pa.Table.from_pylist(out_rows, schema=OUT_SCHEMA)
 
     return assemble
@@ -1095,10 +1126,11 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
         poller = threading.Thread(target=_poll, daemon=True)
         poller.start()
 
-    # ---- assemble + user fn + margin trim ----
+    # ---- assemble + user fn + margin trim (+ stats partials, overviews) ----
+    side = {name: _side_plan(name, controls, wg) for name in outfiles}
     out_ds = frag_ds.groupby("block_id").map_groups(
         make_assemble_fn(user_fn, input_meta, wg, B_y, B_x, m, other_args,
-                         progress_actor),
+                         progress_actor, side),
         batch_format="pyarrow",
     )
 
@@ -1163,14 +1195,8 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
     out_infos = {}
     try:
         for name, path in outfiles.items():
-            if controls.before_close_hooks:
-                # hooks receive the open in-memory handle (reference
-                # callBeforeClose semantics) — inherently driver-side
-                out_infos[name] = _finalize_driver(name, path, scratch, wg,
-                                                   controls)
-            else:
-                out_infos[name] = _finalize_distributed(name, path, scratch,
-                                                        wg, controls)
+            out_infos[name] = _finalize(name, path, os.path.join(scratch, f"name={name}"),
+                                        wg, controls, side[name])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -1187,6 +1213,24 @@ def _out_options(name: str, controls: ApplierControls):
         controls.thematic.get(name, controls.thematic_default),
     )
     return nullval, thematic
+
+
+def _side_plan(name: str, controls: ApplierControls, wg: PixelGrid) -> dict:
+    """What the block task emits beside output ``name``'s tiles: an
+    overview tile per level in ``"levels"``, and stats partials with the
+    (nullval, thematic, include_hist) in ``"stats"`` over every
+    ``"step"``-th pixel row and column.  ``"stats"`` is None when stats
+    recompute at close, absent when they are off."""
+    opt = lambda k: controls.getOptionForImagename(k, name)  # noqa: E731
+    plan = {"levels": [] if opt("omit_pyramids") else overview_levels(
+        *wg.dimensions(), opt("overview_levels"), opt("overview_min_dim")),
+        "step": 2 if opt("approx_stats") else 1}
+    if opt("calc_stats") and not (opt("omit_basic_stats") and opt("omit_histogram")):
+        single = not (opt("single_pass_basic_stats") is False
+                      or opt("single_pass_histogram") is False)
+        nullval, thematic = _out_options(name, controls)
+        plan["stats"] = (nullval, thematic, not opt("omit_histogram")) if single else None
+    return plan
 
 
 def _stats_dict(merged_accs: dict, include_basic: bool = True,
@@ -1222,9 +1266,13 @@ def _stats_dict(merged_accs: dict, include_basic: bool = True,
     return stats or None
 
 
-def make_canonical_fn(dtype):
+TILE_KEYS = ("tile_y", "tile_x", "top", "left", "nrows", "ncols", "band")
+OVERVIEW_KEYS = ("level", "top", "left", "nrows", "ncols", "band")
+
+
+def make_canonical_fn(dtype, keys=TILE_KEYS):
     """map_batches kernel: scratch rows (binary payload) -> canonical
-    tile rows (``data: list<T>``), vectorized per batch."""
+    tile rows (``keys`` + ``data: list<T>``), vectorized per batch."""
     np_dtype = np.dtype(dtype)
     pa_dtype = pa.from_numpy_dtype(np_dtype)
 
@@ -1241,113 +1289,117 @@ def make_canonical_fn(dtype):
         data = pa.ListArray.from_arrays(
             pa.array(offs, type=pa.int32()), pa.array(flat, type=pa_dtype)
         )
-        return pa.table(
-            {
-                "tile_y": b["tile_y"],
-                "tile_x": b["tile_x"],
-                "top": b["top"],
-                "left": b["left"],
-                "nrows": b["nrows"],
-                "ncols": b["ncols"],
-                "band": b["band"],
-                "data": data,
-            }
-        )
+        return pa.table({**{k: b[k] for k in keys}, "data": data})
 
     return canonical
 
 
 def _delete_if_existing(path: str):
-    """S10 ``deleteIfExisting`` semantics for both layouts."""
-    import shutil
-
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    elif os.path.exists(path):
-        os.remove(path)
-    for sidecar in (path + ".grid.json",):
-        if os.path.exists(sidecar):
-            os.remove(sidecar)
+    """S10 ``deleteIfExisting`` semantics for both layouts, together
+    with the output's manifest and overview sidecars."""
+    for p in (path, path + ".grid.json", path + ".ovr"):
+        if os.path.isdir(p):
+            shutil.rmtree(p)
+        elif os.path.exists(p):
+            os.remove(p)
 
 
-def _finalize_distributed(name: str, path: str, scratch: str, wg: PixelGrid,
-                          controls: ApplierControls):
-    """Per-output finalize that never holds the raster on the driver.
+def _finalize(name: str, path: str, part: str, wg: PixelGrid,
+              controls: ApplierControls, plan: dict):
+    """Close one output from its scratch partition ``part``.
 
-    payload->canonical conversion streams through ``map_batches``;
-    tiles land as a parquet DIRECTORY (many files — resumable output,
-    never one giant file); the optional stats pass re-reads the
-    written tiles as streaming partial accumulators, the reference's
-    whole-file recompute-at-close semantics (``calcstats.py``, S9/A7).
-    Driver memory holds only per-block metadata columns and one partial
-    row per (batch, band).
+    Without ``callBeforeClose`` hooks the raster never reaches the
+    driver: one Ray Data job rewrites the scratch tiles into a parquet
+    DIRECTORY (many files — resumable output), stats merge from the
+    partials the block tasks emitted, and the emitted overview rows
+    stream into ``path + ".ovr"``.  Hooks receive the open in-memory
+    handle (reference ``applier.py:845-858``), so the output is
+    assembled on the driver and written as one file; stats recompute
+    if a hook rewrites the table but not the stats, and overviews
+    decimate the post-hook table.  Stats that are not single-pass
+    recompute from the written tiles (``calcstats.py``, S9/A7).
     """
+    import pyarrow.dataset as pads
     import ray.data
 
     from .sources.tileraster import write_manifest
 
-    part = os.path.join(scratch, f"name={name}")
-    meta = pq.read_table(part, columns=["band", "dtype", "nonfinite"])  # metadata-sized
-    dtype = meta["dtype"][0].as_py()
-    nbands = int(pa.compute.max(meta["band"]).as_py()) + 1
-    np_dtype = np.dtype(dtype)
-    nullval, thematic = _out_options(name, controls)
-    _warn_nonfinite(meta, path)
-
-    _delete_if_existing(path)
-    ds = ray.data.read_parquet(part).map_batches(
-        make_canonical_fn(dtype), batch_format="pyarrow", zero_copy_batch=True
+    hooks = controls.before_close_hooks
+    opt = lambda k: controls.getOptionForImagename(k, name)  # noqa: E731
+    t = pq.read_table(  # metadata-sized unless hooks need the pixels
+        part, columns=None if hooks else [
+            f for f in OUT_SCHEMA.names if f not in ("name", "payload")
+        ],
     )
+    dtype = t["dtype"][0].as_py()
+    nbands = int(pa.compute.max(t["band"]).as_py()) + 1
+    nullval, thematic = _out_options(name, controls)
+    if pa.compute.any(t["nonfinite"]).as_py():
+        # once per output (reference warnNanOrInf, imagewriter.py:331-360)
+        warnings.warn(f"NaN or Inf values written to output {path!r}", RuntimeWarning)
+
+    def close_stats(partials) -> dict | None:
+        include_hist = np.dtype(dtype).kind in "iu" and not opt("omit_histogram")
+        return _stats_dict(
+            merge_partials(partials, nullval, thematic, np.dtype(dtype)),
+            include_basic=not opt("omit_basic_stats"), include_hist=include_hist,
+        )
+
+    partials_fn = make_partials_fn(dtype, nullval, thematic,
+                                   include_hist=not opt("omit_histogram"))
+    _delete_if_existing(path)
     write_args = _creation_options(name, controls)
-    ds.write_parquet(path, **write_args)
+    if hooks:
+        table = make_canonical_fn(dtype)(t)
+    else:
+        ray.data.read_parquet(part, columns=[*TILE_KEYS, "payload"]).map_batches(
+            make_canonical_fn(dtype), batch_format="pyarrow", zero_copy_batch=True
+        ).write_parquet(path, **write_args)
 
     stats = None
-    omit_basic = controls.getOptionForImagename("omit_basic_stats", name)
-    omit_hist = controls.getOptionForImagename("omit_histogram", name)
-    if controls.getOptionForImagename("calc_stats", name) and not (
-        omit_basic and omit_hist
-    ):
-        from .stats import make_partials_fn, merge_partials
+    if plan.get("stats"):
+        stats = close_stats([t])
+    elif "stats" in plan and hooks:
+        stats = close_stats([partials_fn(table)])
+    elif "stats" in plan:
+        stats = close_stats(ray.data.read_parquet(path).map_batches(
+            partials_fn, batch_format="pyarrow", zero_copy_batch=True
+        ).iter_batches(batch_format="pyarrow", batch_size=None))
 
-        stats_ds = ray.data.read_parquet(path)
-        if controls.getOptionForImagename("approx_stats", name):
-            # sampled stats (reference approxStats / CLI 'approx'):
-            # a deterministic-fraction subsample of tiles
-            stats_ds = stats_ds.random_sample(0.25, seed=42)
-        pdf = stats_ds.map_batches(
-            make_partials_fn(
-                np_dtype, nullval, thematic,
-                include_hist=(np_dtype.kind in "iu") and not omit_hist,
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).to_pandas()
-        stats = _stats_dict(
-            merge_partials(pdf, nullval, thematic, np_dtype),
-            include_basic=not omit_basic,
-            include_hist=(np_dtype.kind in "iu") and not omit_hist,
-        )
+    if hooks:
+        handle = {"name": name, "table": table, "stats": stats, "path": path}
+        stats_before = copy.deepcopy(stats)
+        for func, hook_args in hooks:
+            func(handle, *hook_args)
+        if (stats is not None and handle["table"] is not table
+                and handle["stats"] == stats_before):
+            handle["stats"] = close_stats([partials_fn(handle["table"])])
+        table, stats = handle["table"], handle["stats"]
+        pq.write_table(table, path, **write_args)
 
-    # overview pyramids at close (reference imagewriter BuildOverviews;
-    # one streamed NEAREST-decimation pass per level, written alongside
-    # the output like GDAL's .ovr)
+    # overview pyramids (reference imagewriter BuildOverviews, NEAREST),
+    # written alongside the output like GDAL's .ovr, streamed so they
+    # are never held whole
     overviews = None
-    if not controls.getOptionForImagename("omit_pyramids", name):
-        from .tiles import pyramid_tiles
+    if plan["levels"]:
+        if hooks:
+            ovr_tables = (decimate_tile_batch(table, lvl, dtype) for lvl in plan["levels"])
+        elif os.path.isdir(part + OVERVIEW_SUFFIX):
+            ovr_tables = (
+                make_canonical_fn(dtype, OVERVIEW_KEYS)(pa.Table.from_batches([b]))
+                for b in pads.dataset(part + OVERVIEW_SUFFIX).to_batches(
+                    columns=[*OVERVIEW_KEYS, "payload"], batch_size=256)
+            )
+        else:  # no block held a sample of any level
+            ovr_tables = ()
+        overviews = {"levels": plan["levels"], "path": path + ".ovr"}
+        os.makedirs(overviews["path"])
+        with pq.ParquetWriter(os.path.join(overviews["path"], "overviews.parquet"),
+                              overview_schema(dtype), **write_args) as w:
+            for ovr in ovr_tables:
+                w.write_table(ovr)
 
-        nrows_, ncols_ = wg.dimensions()
-        pyr, lvls = pyramid_tiles(
-            ray.data.read_parquet(path), np_dtype, nrows_, ncols_,
-            levels=controls.getOptionForImagename("overview_levels", name),
-            min_dim=controls.getOptionForImagename("overview_min_dim", name),
-        )
-        if lvls:
-            ovr = path + ".ovr"
-            _delete_if_existing(ovr)
-            pyr.write_parquet(ovr, **write_args)
-            overviews = {"levels": lvls, "path": ovr}
-
-    ct_type = controls.getOptionForImagename("auto_color_table_type", name)
+    ct_type = opt("auto_color_table_type")
     if ct_type is not None and thematic:
         from .colortable import gen_color_table
 
@@ -1356,8 +1408,7 @@ def _finalize_distributed(name: str, path: str, scratch: str, wg: PixelGrid,
 
     return write_manifest(
         path, wg, nbands, dtype, nullval=nullval, thematic=thematic,
-        layer_names=controls.getOptionForImagename("layer_names", name),
-        stats=stats, overviews=overviews,
+        layer_names=opt("layer_names"), stats=stats, overviews=overviews,
     )
 
 
@@ -1373,66 +1424,3 @@ def _creation_options(name: str, controls: ApplierControls) -> dict:
             if env else {}
         )
     return dict(opts)
-
-
-def _warn_nonfinite(meta: pa.Table, path: str):
-    """Once-per-output NaN/Inf warning (reference warnNanOrInf,
-    ``imagewriter.py:331-360``)."""
-    if pa.compute.any(meta["nonfinite"]).as_py():
-        import warnings
-
-        warnings.warn(
-            f"NaN or Inf values written to output {path!r}", RuntimeWarning
-        )
-
-
-def _finalize_driver(name: str, path: str, scratch: str, wg: PixelGrid,
-                     controls: ApplierControls):
-    """Driver-side finalize (only when ``callBeforeClose`` hooks need
-    the open in-memory handle): whole output assembled on the driver,
-    hooks run, single-file write."""
-    part = os.path.join(scratch, f"name={name}")
-    t = pq.read_table(part)
-    _warn_nonfinite(t, path)
-    dtype = t["dtype"][0].as_py()
-    nbands = int(pa.compute.max(t["band"]).as_py()) + 1
-    tile_table = make_canonical_fn(dtype)(t)
-    nullval, thematic = _out_options(name, controls)
-
-    stats = None
-    omit_basic = controls.getOptionForImagename("omit_basic_stats", name)
-    omit_hist = controls.getOptionForImagename("omit_histogram", name)
-    if controls.getOptionForImagename("calc_stats", name) and not (
-        omit_basic and omit_hist
-    ):
-        from .stats import StatsAccumulator
-
-        np_dtype = np.dtype(dtype)
-        include_hist = (np_dtype.kind in "iu") and not omit_hist
-        acc_by_band: dict[int, StatsAccumulator] = {}
-        bands_np = t["band"].to_numpy(zero_copy_only=False)
-        for i in range(t.num_rows):
-            arr = np.frombuffer(t["payload"][i].as_py(), dtype=np_dtype)
-            acc = acc_by_band.setdefault(
-                int(bands_np[i]), StatsAccumulator(nullval, thematic, np_dtype)
-            )
-            acc.accum_stats(arr)
-            if include_hist:
-                acc.accum_hist(arr)
-        stats = _stats_dict(acc_by_band, include_basic=not omit_basic,
-                            include_hist=include_hist)
-
-    # pre-close hooks: user sees (and may mutate) the assembled tile
-    # table + stats before anything is written (reference
-    # callBeforeClose, applier.py:845-858)
-    handle = {"name": name, "table": tile_table, "stats": stats, "path": path}
-    for func, hook_args in controls.before_close_hooks:
-        func(handle, *hook_args)
-    tile_table, stats = handle["table"], handle["stats"]
-
-    _delete_if_existing(path)
-    return write_tile_raster(
-        path, tile_table, wg, nbands, dtype,
-        nullval=nullval, thematic=thematic, stats=stats,
-        layer_names=controls.getOptionForImagename("layer_names", name),
-    )

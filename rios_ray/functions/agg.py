@@ -505,17 +505,27 @@ def global_int_sum(ds, col: str) -> int:
     """Driver-side exact global sum of an int64 column: one-row
     per-block partials, pulled to the driver (bounded by block count).
     A zero-block dataset (possible after an empty keyed exchange — its
-    empty frame has no columns at all) sums to 0, not KeyError."""
+    empty frame has no columns at all) sums to 0, not KeyError.
+    Raises OverflowError when a block's or the global sum leaves int64,
+    where numpy would wrap silently."""
     import pyarrow as pa
 
     def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"t": pa.array(
-            [int(b[col].to_numpy(zero_copy_only=False).sum())],
-            type=pa.int64())})
+        v = b[col].to_numpy(zero_copy_only=False)
+        # numpy's int64 sum is exact while len * max|v| < 2**63; past
+        # that, add Python ints and flag a sum int64 cannot hold
+        bound = max(abs(int(v.max())), abs(int(v.min()))) * len(v) if len(v) else 0
+        total = int(v.sum()) if bound < 2 ** 63 else sum(v.tolist())
+        over = not -(2 ** 63) <= total < 2 ** 63
+        return pa.table({"t": pa.array([0 if over else total], pa.int64()),
+                         "over": pa.array([over])})
 
     t = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None).to_pandas()
-    return int(t["t"].sum()) if "t" in t.columns and len(t) else 0
+    total = sum(t["t"].tolist()) if "t" in t.columns else 0
+    if "t" in t.columns and (t["over"].any() or not -(2 ** 63) <= total < 2 ** 63):
+        raise OverflowError(f"global_int_sum({col!r}): the sum exceeds int64")
+    return total
 
 
 def global_int_max(ds, col: str) -> int | None:

@@ -13,9 +13,10 @@ with identical semantics (all cited into ``/root/reference/rios/calcstats.py``):
 - median = first bin with cumsum >= half, mode = argmax bin
   (``calcstats.py:954-970``)
 
-Ray shape: each batch produces ONE partial row per band (a pre-aggregate
-inside ``map_batches``), partials merge associatively on the driver —
-the all-to-one reduce moves kilobytes, never data.
+Ray shape: each (tile, band) produces ONE partial row, inside the task
+that already holds its pixels (the applier's block task, or
+``map_batches`` over a tile table); partials merge on the driver in a
+fixed order — the all-to-one reduce moves kilobytes, never data.
 """
 
 from __future__ import annotations
@@ -204,20 +205,15 @@ class StatsAccumulator:
             "hist_neg": None if self.hist_neg is None else self.hist_neg.astype(np.int64),
         }
 
-    @classmethod
-    def from_row(cls, row: dict, nullval=None, thematic=False, dtype=None) -> "StatsAccumulator":
-        acc = cls(nullval, thematic, dtype)
-        acc.sum = float(row["sum"])
-        acc.ssq = float(row["ssq"])
-        acc.count = int(row["count"])
-        acc.minval = row["minval"]
-        acc.maxval = row["maxval"]
-        for k in ("hist_pos", "hist_neg"):
-            v = row[k]
-            if v is not None:
-                v = np.asarray(v, dtype=np.int64)
-                setattr(acc, k, v if len(v) else None)
-        return acc
+
+def tile_partial(arr: np.ndarray, nullval=None, thematic=False,
+                 include_hist=True) -> StatsAccumulator:
+    """The stats partial of one (tile, band) pixel array."""
+    acc = StatsAccumulator(nullval, thematic, arr.dtype)
+    acc.accum_stats(arr)
+    if include_hist and arr.dtype.kind in "iu":
+        acc.accum_hist(arr)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +275,6 @@ def linear_hist_from_direct(desired_nbins: int, step: float, counts: np.ndarray)
     return new
 
 
-def bin_floats(values: np.ndarray, params: HistogramParams) -> np.ndarray:
-    """Linear-bin float values (the engine's single-pass float histogram;
-    the reference uses a GDAL second pass for floats — same bin edges)."""
-    idx = np.clip(
-        ((values - params.calc_min) / params.step).astype(np.int64), 0, params.nbins - 1
-    )
-    return np.bincount(idx, minlength=params.nbins)
-
-
 def median_mode_from_hist(counts: np.ndarray, params: HistogramParams, is_float: bool):
     """Median/mode estimates (``calcstats.py:954-970``)."""
     middlenum = counts.astype(np.int64).sum() / 2
@@ -301,12 +288,15 @@ def median_mode_from_hist(counts: np.ndarray, params: HistogramParams, is_float:
 
 
 # ---------------------------------------------------------------------------
-# Ray integration: partial per (batch, band) -> driver merge
+# Ray integration: partial per (tile, band) -> driver merge
 # ---------------------------------------------------------------------------
 
+# one partial per (tile, band), keyed by the tile's position
 PARTIAL_SCHEMA = pa.schema(
     [
         ("band", pa.int32()),
+        ("top", pa.int32()),
+        ("left", pa.int32()),
         ("sum", pa.float64()),
         ("ssq", pa.float64()),
         ("count", pa.int64()),
@@ -319,35 +309,49 @@ PARTIAL_SCHEMA = pa.schema(
 
 
 def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True):
-    """map_batches fn: tile-table batch -> one partial row per band."""
+    """map_batches fn: tile-table batch -> one partial row per tile row."""
     dtype = np.dtype(dtype)
 
     def partials(batch: pa.Table) -> pa.Table:
         bands = batch["band"].to_numpy(zero_copy_only=False)
+        tops, lefts = batch["top"].to_pylist(), batch["left"].to_pylist()
         col = batch["data"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         offsets = col.offsets.to_numpy()
         flat = col.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
-        accs: dict[int, StatsAccumulator] = {}
+        rows = []
         for i in range(batch.num_rows):
-            arr = flat[offsets[i] : offsets[i + 1]]
-            acc = accs.setdefault(int(bands[i]), StatsAccumulator(nullval, thematic, dtype))
-            acc.accum_stats(arr)
-            if include_hist and dtype.kind in "iu":
-                acc.accum_hist(arr)
-        rows = [acc.to_row(b) for b, acc in sorted(accs.items())]
+            acc = tile_partial(flat[offsets[i] : offsets[i + 1]], nullval, thematic,
+                               include_hist)
+            rows.append({**acc.to_row(int(bands[i])), "top": tops[i], "left": lefts[i]})
         return pa.Table.from_pylist(rows, schema=PARTIAL_SCHEMA)
 
     return partials
 
 
-def merge_partials(partials_df, nullval=None, thematic=False, dtype=None):
-    """Driver-side final reduce: dict band -> merged StatsAccumulator."""
+def merge_partials(tables, nullval=None, thematic=False, dtype=None):
+    """Driver-side final reduce over tables holding the
+    :data:`PARTIAL_SCHEMA` columns: dict band -> merged StatsAccumulator.
+    Partials fold in (band, top, left) order, so the float sums do not
+    depend on the order Ray returned them in."""
+    t = pa.concat_tables(
+        [PARTIAL_SCHEMA.empty_table()]
+        + [x.select(PARTIAL_SCHEMA.names).cast(PARTIAL_SCHEMA) for x in tables]
+    )
+    fields = PARTIAL_SCHEMA.names[3:]
+    cols = {k: t[k].to_pylist() for k in PARTIAL_SCHEMA.names[:-2]}
+    for k in fields[-2:]:  # histograms as views of the Arrow buffers, no copy
+        cols[k] = []
+        for c in t[k].chunks:
+            offs, vals = c.offsets.to_numpy(), c.values.to_numpy()
+            cols[k] += [vals[offs[i] : offs[i + 1]] if c[i].is_valid else None
+                        for i in range(len(c))]
     out: dict[int, StatsAccumulator] = {}
-    for row in partials_df.to_dict("records"):
-        acc = StatsAccumulator.from_row(row, nullval, thematic, dtype)
-        b = int(row["band"])
+    for b, _, _, i in sorted(zip(cols["band"], cols["top"], cols["left"], range(t.num_rows))):
+        acc = StatsAccumulator(nullval, thematic, dtype)
+        for k in fields:
+            setattr(acc, k, cols[k][i])
         out[b] = out[b].merge(acc) if b in out else acc
     return out
 
@@ -357,15 +361,17 @@ def dataset_band_stats(ds, dtype, nullval=None, thematic=False, include_hist=Tru
 
     Returns dict band -> (min, max, mean, stddev, full_hist tuple).
     The heavy pass is a streaming map_batches; the reduce sees one row
-    per (batch, band).
+    per (tile, band).
     """
     partial_ds = ds.map_batches(
         make_partials_fn(dtype, nullval, thematic, include_hist),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    pdf = partial_ds.to_pandas()
-    merged = merge_partials(pdf, nullval, thematic, np.dtype(dtype))
+    merged = merge_partials(
+        partial_ds.iter_batches(batch_format="pyarrow", batch_size=None),
+        nullval, thematic, np.dtype(dtype),
+    )
     return {
         b: {"stats": acc.final_stats(), "hist": acc.full_hist() if include_hist else None}
         for b, acc in merged.items()

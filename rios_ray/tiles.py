@@ -4,12 +4,16 @@
   star — geocoded point rows are binned onto a working grid and
   materialized as RIOS-style dense blocks (counts or aggregates per
   pixel), via per-batch partial rasterization + a groupby(tile) merge.
-- ``pyramid_tiles``: overview decimation with the reference's exact
-  semantics (``/root/reference/rios/calcstats.py:845-872``): per block,
-  take every lvl-th pixel starting at offset ``lvl//2``, placed at
-  ``(top//lvl, left//lvl)`` in the overview grid; level list
-  ``[4, 8, ..., 512]`` pruned by min overview dimension 128
-  (``calcstats.py:35-42``).
+- ``decimate_block``: overview decimation with the reference's NEAREST
+  semantics (reference ``rios/calcstats.py:845-872``): level
+  ``lvl`` keeps every lvl-th pixel of the IMAGE starting at ``lvl//2``
+  (``a[lvl//2::lvl, lvl//2::lvl]``).  A block keeps its local rows from
+  ``(lvl//2 - top) % lvl`` on, placed at overview row
+  ``(top + r0) // lvl`` (columns alike), so blocks whose size is not a
+  multiple of ``lvl``, or is smaller than it, still tile the overview
+  exactly.  Level list ``[4, 8, ..., 512]`` pruned by min overview
+  dimension 128 (``calcstats.py:35-42``).  The applier calls it inside
+  the block task, so overviews cost no re-read of the output.
 """
 
 from __future__ import annotations
@@ -32,17 +36,35 @@ def overview_levels(nrows: int, ncols: int,
     return [lvl for lvl in levels if (mindim // lvl) >= min_dim]
 
 
-def decimate_tile_batch(batch: pa.Table, lvl: int, dtype) -> pa.Table:
-    """Tile rows -> overview tile rows at 1/lvl resolution (NEAREST).
-
-    Exact reference semantics: within each block, rows/cols
-    ``lvl//2 :: lvl``; destination offset ``(top//lvl, left//lvl)``.
-    Blocks decimate independently, so this is a stateless map — no
-    shuffle (each source block owns a disjoint overview region when
-    lvl <= block size, as in the reference's single-writer layout).
-    """
-    dtype = np.dtype(dtype)
+def decimate_block(arr: np.ndarray, top: int, left: int, lvl: int):
+    """One block's share of the level-``lvl`` overview (NEAREST), with
+    the image-global phase of the module docstring: ``(sub, dst_top,
+    dst_left)``.  ``sub`` is empty when a block smaller than ``lvl``
+    holds no sample."""
     o = lvl // 2
+    r0, c0 = (o - top) % lvl, (o - left) % lvl
+    return arr[r0::lvl, c0::lvl], (top + r0) // lvl, (left + c0) // lvl
+
+
+def overview_schema(dtype) -> pa.Schema:
+    """Rows of a ``.ovr`` table: one overview tile per (block, band, level)."""
+    return pa.schema(
+        [
+            ("level", pa.int32()),
+            ("top", pa.int32()),
+            ("left", pa.int32()),
+            ("nrows", pa.int32()),
+            ("ncols", pa.int32()),
+            ("band", pa.int32()),
+            ("data", pa.list_(pa.from_numpy_dtype(np.dtype(dtype)))),
+        ]
+    )
+
+
+def decimate_tile_batch(batch: pa.Table, lvl: int, dtype) -> pa.Table:
+    """Tile rows -> overview tile rows at 1/lvl resolution (NEAREST),
+    via :func:`decimate_block` per row — a stateless map, no shuffle."""
+    dtype = np.dtype(dtype)
     col = batch["data"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -52,53 +74,26 @@ def decimate_tile_batch(batch: pa.Table, lvl: int, dtype) -> pa.Table:
     lefts = batch["left"].to_numpy(zero_copy_only=False)
     nrs = batch["nrows"].to_numpy(zero_copy_only=False)
     ncs = batch["ncols"].to_numpy(zero_copy_only=False)
+    bands = batch["band"].to_numpy(zero_copy_only=False)
     rows = []
     for i in range(batch.num_rows):
         nr, nc = int(nrs[i]), int(ncs[i])
         arr = flat[offsets[i] : offsets[i + 1]].reshape(nr, nc)
-        sub = arr[o::lvl, o::lvl]
+        sub, dst_top, dst_left = decimate_block(arr, int(tops[i]), int(lefts[i]), lvl)
         if sub.size == 0:
             continue
         rows.append(
             {
                 "level": lvl,
-                "top": int(tops[i]) // lvl,
-                "left": int(lefts[i]) // lvl,
+                "top": dst_top,
+                "left": dst_left,
                 "nrows": sub.shape[0],
                 "ncols": sub.shape[1],
-                "band": int(batch["band"][i].as_py()),
+                "band": int(bands[i]),
                 "data": sub.ravel(),
             }
         )
-    pa_dtype = pa.from_numpy_dtype(dtype)
-    schema = pa.schema(
-        [
-            ("level", pa.int32()),
-            ("top", pa.int32()),
-            ("left", pa.int32()),
-            ("nrows", pa.int32()),
-            ("ncols", pa.int32()),
-            ("band", pa.int32()),
-            ("data", pa.list_(pa_dtype)),
-        ]
-    )
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def pyramid_tiles(ds, dtype, nrows: int, ncols: int, levels=None,
-                  min_dim: int = DEFAULT_MIN_OVERVIEW_DIM):
-    """All overview levels for a tile-keyed Dataset, as one Dataset
-    (stateless flat decimation per level — streaming, no shuffle)."""
-    lvls = overview_levels(nrows, ncols, levels, min_dim)
-    out = None
-    for lvl in lvls:
-        d = ds.map_batches(
-            lambda b, lvl=lvl: decimate_tile_batch(b, lvl, dtype),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        out = d if out is None else out.union(d)
-    return out, lvls
+    return pa.Table.from_pylist(rows, schema=overview_schema(dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -574,3 +574,69 @@ def test_nan_inf_warning(fixtures, tmp_path):
         _warnings.simplefilter("error", RuntimeWarning)
         apply(clean, {"img": fixtures["ramp"]},
               {"out": str(tmp_path / "clean.parquet")}, out_dir=str(tmp_path))
+
+
+def _stats_both_modes(fn, fixtures, tmp_path, name):
+    out = {}
+    for single in (True, False):
+        controls = ApplierControls()
+        controls.setOmitPyramids(True)
+        if not single:
+            controls.setSinglePassBasicStats(False)
+        path = str(tmp_path / f"{name}-{single}.parquet")
+        apply(fn, {"img": fixtures["rowcol2"]}, {"out": path}, controls=controls,
+              out_dir=str(tmp_path))
+        out[single] = read_stats_sidecar(path)
+    return out[True], out[False]
+
+
+def test_single_pass_stats_match_close_time_recompute(fixtures, tmp_path):
+    """Stats merged from the block tasks' partials equal the at-close
+    recompute: identical for an integer raster, rel 1e-12 for floats."""
+    def ident(info, inputs, outputs):
+        outputs.out = inputs.img
+
+    def scaled(info, inputs, outputs):
+        outputs.out = inputs.img.astype(np.float64) * 0.1 + 1e-3
+
+    single, recomputed = _stats_both_modes(ident, fixtures, tmp_path, "int")
+    assert single == recomputed
+    assert set(single) == {"0", "1"} and "median" in single["0"]
+    rc = fixtures["rc_arr"].astype(np.float64)
+    for b in (0, 1):
+        assert single[str(b)]["mean"] == pytest.approx(rc[b].mean(), rel=1e-12)
+
+    single, recomputed = _stats_both_modes(scaled, fixtures, tmp_path, "float")
+    assert single.keys() == recomputed.keys()
+    for b, entry in single.items():
+        for k, v in entry.items():
+            assert v == pytest.approx(recomputed[b][k], rel=1e-12), (b, k)
+
+
+def test_single_pass_apply_runs_two_jobs(fixtures, tmp_path, monkeypatch):
+    """A single-output apply with stats and pyramids runs at most two
+    Ray Data jobs (block tasks -> scratch, scratch -> output): stats and
+    overviews come out of the block tasks, not from re-reads at close."""
+    import json
+    import os
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    jobs = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        jobs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+
+    def ident(info, inputs, outputs):
+        outputs.out = inputs.img
+
+    out = str(tmp_path / "jobs.parquet")
+    apply(ident, {"img": fixtures["ramp"]}, {"out": out}, out_dir=str(tmp_path))
+    assert len(jobs) <= 2
+    manifest = json.load(open(os.path.join(out, "_grid.json")))
+    assert manifest["stats"]["0"]["count"] == 250000
+    assert manifest["overviews"]["levels"] == [4, 8]

@@ -196,6 +196,41 @@ def test_pyramids_default_and_omit(ramp, tmp_path):
     assert manifest3["overviews"]["levels"] == [2]
 
 
+def test_hook_path_writes_overviews_of_edited_table(ramp, tmp_path):
+    """callBeforeClose outputs get pyramids too, decimated from the
+    post-hook table; a hook that rewrites pixels but not stats gets
+    stats recomputed from what it wrote."""
+    def invert(handle):
+        t = handle["table"]
+        data = t["data"].combine_chunks()
+        flipped = 255 - data.values.to_numpy(zero_copy_only=False)
+        handle["table"] = t.set_column(
+            t.schema.get_field_index("data"), "data",
+            pa.ListArray.from_arrays(data.offsets, pa.array(flipped, pa.uint8())),
+        )
+
+    controls = ApplierControls()
+    controls.callBeforeClose(invert)
+    out = str(tmp_path / "hooked.parquet")
+    info = apply(_make_ident(), {"img": ramp["ti"]}, {"out": out}, controls=controls,
+                 out_dir=str(tmp_path)).out_infos["out"]
+    want = 255 - ramp["arr"]
+    manifest = json.load(open(out + ".grid.json"))
+    assert manifest["overviews"]["levels"] == [4, 8]
+    ovr = pq.read_table(manifest["overviews"]["path"])
+    for lvl in (4, 8):
+        o = lvl // 2
+        rows = ovr.filter(pa.compute.equal(ovr["level"], lvl)).to_pylist()
+        got = np.zeros_like(want[o::lvl, o::lvl])
+        for r in rows:
+            got[r["top"]:r["top"] + r["nrows"], r["left"]:r["left"] + r["ncols"]] = (
+                np.asarray(r["data"], np.uint8).reshape(r["nrows"], r["ncols"]))
+        np.testing.assert_array_equal(got, want[o::lvl, o::lvl])
+    stats = read_stats_sidecar(info.path)["0"]
+    assert (stats["min"], stats["max"]) == (want.min(), want.max())
+    assert stats["mean"] == pytest.approx(want.mean(), rel=1e-12)
+
+
 def test_omit_and_approx_stats(ramp, tmp_path):
     controls = ApplierControls()
     controls.setOmitPyramids(True)

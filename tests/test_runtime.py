@@ -105,3 +105,25 @@ def test_global_int_sum_and_max(ray_session):
     empty = ds.filter(lambda r: False)
     assert global_int_sum(empty, "v") == 0
     assert global_int_max(empty, "v") is None
+
+
+def test_global_int_sum_overflow_raises(ray_session):
+    """An int64 sum that leaves int64 raises instead of wrapping, both
+    inside one block and across block partials; cancelling terms that
+    pass the per-block bound still sum exactly."""
+    import pyarrow as pa
+    import pytest
+    import ray.data
+
+    from rios_ray.functions.agg import global_int_sum
+
+    big = 2 ** 62
+    one_block = ray.data.from_arrow(pa.table({"v": pa.array([big, big], pa.int64())}))
+    with pytest.raises(OverflowError, match="int64"):
+        global_int_sum(one_block, "v")
+    two_blocks = ray.data.from_arrow([pa.table({"v": pa.array([big + k], pa.int64())})
+                                      for k in (0, 1)])
+    with pytest.raises(OverflowError, match="int64"):
+        global_int_sum(two_blocks, "v")
+    cancel = ray.data.from_arrow(pa.table({"v": pa.array([big, big, -big, -big], pa.int64())}))
+    assert global_int_sum(cancel, "v") == 0

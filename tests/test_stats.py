@@ -3,6 +3,7 @@
 associativity, and the Ray single-pass path."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from rios_ray import stats, synth
@@ -107,9 +108,10 @@ def test_histogram_null_removal_and_roundtrip():
     minval, maxval, counts = acc.full_hist()
     assert counts[0] == 0  # null bin zeroed
     assert counts[3] == 3 and counts[7] == 1
-    # serialization roundtrip
-    row = acc.to_row(0)
-    back = stats.StatsAccumulator.from_row(row, nullval=0, dtype=np.dtype(np.uint8))
+    # serialization roundtrip through an Arrow partial row
+    row = pa.Table.from_pylist([{**acc.to_row(0), "top": 0, "left": 0}],
+                               schema=stats.PARTIAL_SCHEMA)
+    back = stats.merge_partials([row], nullval=0, dtype=np.dtype(np.uint8))[0]
     np.testing.assert_array_equal(back.hist_pos, acc.hist_pos)
 
 
@@ -146,6 +148,23 @@ def test_linear_rebin_preserves_total():
     new = stats.linear_hist_from_direct(256, step, counts)
     assert new.sum() == counts.sum()
     assert len(new) == 256
+
+
+def test_merge_partials_order_independent():
+    """Float partials merge in (band, top, left) order, so any arrival
+    order of the partial tables gives bit-identical stats."""
+    rng = np.random.default_rng(11)
+    tile = synth.raster_to_tile_table(rng.normal(0, 1e6, (2, 300, 300)), block=64)
+    parts = stats.make_partials_fn(np.float64)(tile)
+    want = stats.merge_partials([parts], dtype=np.dtype(np.float64))
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(parts.num_rows)
+        shuffled = parts.take(perm)
+        got = stats.merge_partials([shuffled.slice(0, 7), shuffled.slice(7)],
+                                   dtype=np.dtype(np.float64))
+        for b in (0, 1):
+            assert got[b].final_stats() == want[b].final_stats()
+            assert got[b].count == 300 * 300
 
 
 def test_dataset_band_stats_ray(ray_session, tmp_path):
