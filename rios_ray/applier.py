@@ -29,8 +29,9 @@ into the streaming executor):
    reference's single-pass manager, ``calcstats.py:400-616``).
 4. **Write (one pass)**: all outputs stream to parquet partitioned by
    output name, overview rows under ``<name>.ovr``; per-block
-   ``other_args`` copies ride along as a side partition and are returned for user-side merging (the ST5
-   contract, ``applier.py:1182-1192``).
+   ``other_args`` copies ride along as a side partition and are
+   returned for user-side merging (the ST5 contract,
+   ``applier.py:1182-1192``).
 5. **Close (one more job per output)**: tiles rewrite to the canonical
    layout; stats partials and overview tiles are merged / copied on the
    driver without re-reading the pixels.
