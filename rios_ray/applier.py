@@ -62,6 +62,7 @@ from .gridmodel import (
     PixelGrid,
     find_common_region,
 )
+from .resample import TILE_SCHEMA
 from .sources.tileraster import TileRasterInfo
 from .stats import PARTIAL_SCHEMA, make_partials_fn, merge_partials, tile_partial
 from .tiles import decimate_block, decimate_tile_batch, overview_levels, overview_schema
@@ -248,9 +249,10 @@ class ApplierControls:
 
     def setApproxStats(self, flag, imagename=None):
         """Sampled (approximate) stats (reference applier.py:823-844;
-        the CLI calcstats 'approx' path): the block task takes every
-        other row and column of each block, a deterministic 1/4 of the
-        pixels whatever the block layout."""
+        the CLI calcstats 'approx' path): stats cover every other row
+        and column of each block, a deterministic 1/4 of the pixels
+        whatever the block layout; the close-time recompute of
+        ``setSinglePassBasicStats(False)`` takes the same sample."""
         self._set("approx_stats", flag, imagename)
 
     def setAutoColorTableType(self, colortype, imagename=None):
@@ -322,8 +324,8 @@ class ApplierControls:
 
     def setSinglePassBasicStats(self, flag, imagename=None):
         """``True``/``None`` (default): stats partials come out of the
-        block task and merge at close.  ``False``: exact stats recompute
-        at close with one streamed re-read of the written tiles (the
+        block task and merge at close.  ``False``: stats recompute at
+        close with one streamed re-read of the written tiles (the
         reference's at-close semantics); same values, one more job."""
         self._set("single_pass_basic_stats", flag, imagename)
 
@@ -959,15 +961,7 @@ def _rasterize_vector(vi: VectorInput, wg, B_y: int, B_x: int, out_dir,
                     "data": mask,
                 }
             )
-        schema = pa.schema(
-            [
-                ("tile_y", pa.int32()), ("tile_x", pa.int32()),
-                ("top", pa.int32()), ("left", pa.int32()),
-                ("nrows", pa.int32()), ("ncols", pa.int32()),
-                ("band", pa.int32()),
-                ("data", pa.list_(pa.from_numpy_dtype(v_dtype))),
-            ]
-        )
+        schema = TILE_SCHEMA.set(7, pa.field("data", pa.list_(pa.from_numpy_dtype(v_dtype))))
         return pa.Table.from_pylist(rows, schema=schema)
 
     tmp = tempfile.mkdtemp(prefix="rasterized_", dir=out_dir or "/tmp")
@@ -1129,9 +1123,10 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
 
     # ---- assemble + user fn + margin trim (+ stats partials, overviews) ----
     side = {name: _side_plan(name, controls, wg) for name in outfiles}
+    hooks = bool(controls.before_close_hooks)  # overviews then come from the hooked table
     out_ds = frag_ds.groupby("block_id").map_groups(
-        make_assemble_fn(user_fn, input_meta, wg, B_y, B_x, m, other_args,
-                         progress_actor, side),
+        make_assemble_fn(user_fn, input_meta, wg, B_y, B_x, m, other_args, progress_actor,
+                         {n: {**p, "levels": []} if hooks else p for n, p in side.items()}),
         batch_format="pyarrow",
     )
 
@@ -1327,11 +1322,9 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
 
     hooks = controls.before_close_hooks
     opt = lambda k: controls.getOptionForImagename(k, name)  # noqa: E731
+    skip = {"name", "hist_pos", "hist_neg"} | (set() if hooks else {"payload"})
     t = pq.read_table(  # metadata-sized unless hooks need the pixels
-        part, columns=None if hooks else [
-            f for f in OUT_SCHEMA.names if f not in ("name", "payload")
-        ],
-    )
+        part, columns=[f for f in OUT_SCHEMA.names if f not in skip])
     dtype = t["dtype"][0].as_py()
     nbands = int(pa.compute.max(t["band"]).as_py()) + 1
     nullval, thematic = _out_options(name, controls)
@@ -1347,19 +1340,21 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
         )
 
     partials_fn = make_partials_fn(dtype, nullval, thematic,
-                                   include_hist=not opt("omit_histogram"))
-    _delete_if_existing(path)
+                                   include_hist=not opt("omit_histogram"), step=plan["step"])
     write_args = _creation_options(name, controls)
     if hooks:
         table = make_canonical_fn(dtype)(t)
     else:
+        _delete_if_existing(path)
         ray.data.read_parquet(part, columns=[*TILE_KEYS, "payload"]).map_batches(
             make_canonical_fn(dtype), batch_format="pyarrow", zero_copy_batch=True
         ).write_parquet(path, **write_args)
 
     stats = None
-    if plan.get("stats"):
-        stats = close_stats([t])
+    if plan.get("stats"):  # histograms stream past, a few tiles' worth at a time
+        stats = close_stats(pads.dataset(part).to_batches(
+            columns=PARTIAL_SCHEMA.names, batch_size=8, batch_readahead=1,
+            fragment_readahead=1))
     elif "stats" in plan and hooks:
         stats = close_stats([partials_fn(table)])
     elif "stats" in plan:
@@ -1376,6 +1371,8 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
                 and handle["stats"] == stats_before):
             handle["stats"] = close_stats([partials_fn(handle["table"])])
         table, stats = handle["table"], handle["stats"]
+        _delete_if_existing(path)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         pq.write_table(table, path, **write_args)
 
     # overview pyramids (reference imagewriter BuildOverviews, NEAREST),

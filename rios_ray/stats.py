@@ -15,8 +15,9 @@ with identical semantics (all cited into ``/root/reference/rios/calcstats.py``):
 
 Ray shape: each (tile, band) produces ONE partial row, inside the task
 that already holds its pixels (the applier's block task, or
-``map_batches`` over a tile table); partials merge on the driver in a
-fixed order — the all-to-one reduce moves kilobytes, never data.
+``map_batches`` over a tile table); the driver folds the scalar
+partials in a fixed order and adds the histograms as they stream past,
+holding one histogram per band — never the pixels.
 """
 
 from __future__ import annotations
@@ -308,13 +309,15 @@ PARTIAL_SCHEMA = pa.schema(
 )
 
 
-def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True):
-    """map_batches fn: tile-table batch -> one partial row per tile row."""
+def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True, step=1):
+    """map_batches fn: tile-table batch -> one partial row per tile row,
+    over every ``step``-th pixel row and column of each tile."""
     dtype = np.dtype(dtype)
 
     def partials(batch: pa.Table) -> pa.Table:
         bands = batch["band"].to_numpy(zero_copy_only=False)
         tops, lefts = batch["top"].to_pylist(), batch["left"].to_pylist()
+        nrows = batch["nrows"].to_pylist()
         col = batch["data"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -322,8 +325,10 @@ def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True):
         flat = col.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
         rows = []
         for i in range(batch.num_rows):
-            acc = tile_partial(flat[offsets[i] : offsets[i + 1]], nullval, thematic,
-                               include_hist)
+            px = flat[offsets[i] : offsets[i + 1]]
+            if step > 1:
+                px = px.reshape(nrows[i], -1)[::step, ::step]
+            acc = tile_partial(px, nullval, thematic, include_hist)
             rows.append({**acc.to_row(int(bands[i])), "top": tops[i], "left": lefts[i]})
         return pa.Table.from_pylist(rows, schema=PARTIAL_SCHEMA)
 
@@ -331,28 +336,32 @@ def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True):
 
 
 def merge_partials(tables, nullval=None, thematic=False, dtype=None):
-    """Driver-side final reduce over tables holding the
-    :data:`PARTIAL_SCHEMA` columns: dict band -> merged StatsAccumulator.
-    Partials fold in (band, top, left) order, so the float sums do not
-    depend on the order Ray returned them in."""
-    t = pa.concat_tables(
-        [PARTIAL_SCHEMA.empty_table()]
-        + [x.select(PARTIAL_SCHEMA.names).cast(PARTIAL_SCHEMA) for x in tables]
-    )
-    fields = PARTIAL_SCHEMA.names[3:]
-    cols = {k: t[k].to_pylist() for k in PARTIAL_SCHEMA.names[:-2]}
-    for k in fields[-2:]:  # histograms as views of the Arrow buffers, no copy
-        cols[k] = []
-        for c in t[k].chunks:
-            offs, vals = c.offsets.to_numpy(), c.values.to_numpy()
-            cols[k] += [vals[offs[i] : offs[i + 1]] if c[i].is_valid else None
-                        for i in range(len(c))]
+    """Driver-side final reduce over an iterable of tables (or record
+    batches) holding the :data:`PARTIAL_SCHEMA` columns: dict band ->
+    merged StatsAccumulator.  The integer histograms add up table by
+    table as they stream past, so only one table's histograms are held
+    at once; the scalar columns (one row per (tile, band)) fold in
+    (band, top, left) order, so the float sums do not depend on the
+    order Ray returned them in."""
+    rows, hists = [], {}
+    for x in tables:
+        rows += zip(*(x[k].to_pylist() for k in PARTIAL_SCHEMA.names[:-2]))
+        bands = x["band"].to_numpy(zero_copy_only=False)
+        for k in ("hist_pos", "hist_neg"):
+            col, i = x[k], 0
+            for c in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+                offs, vals = c.offsets.to_numpy(), c.values.to_numpy()
+                for j in np.flatnonzero(~c.is_null().to_numpy(zero_copy_only=False)):
+                    h, key = vals[offs[j] : offs[j + 1]], (int(bands[i + j]), k)
+                    hists[key] = add_two_histograms(hists[key], h) if key in hists else h.copy()
+                i += len(c)
     out: dict[int, StatsAccumulator] = {}
-    for b, _, _, i in sorted(zip(cols["band"], cols["top"], cols["left"], range(t.num_rows))):
+    for b, _, _, *scalars in sorted(rows, key=lambda r: r[:3]):
         acc = StatsAccumulator(nullval, thematic, dtype)
-        for k in fields:
-            setattr(acc, k, cols[k][i])
+        acc.sum, acc.ssq, acc.count, acc.minval, acc.maxval = scalars
         out[b] = out[b].merge(acc) if b in out else acc
+    for (b, k), h in hists.items():
+        setattr(out[b], k, h)
     return out
 
 

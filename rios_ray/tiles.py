@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from .gridmodel import PixelGrid
+from .resample import TILE_SCHEMA
 
 DEFAULT_OVERVIEW_LEVELS = [4, 8, 16, 32, 64, 128, 256, 512]
 DEFAULT_MIN_OVERVIEW_DIM = 128
@@ -145,19 +146,7 @@ def make_point_rasterize_fn(grid: PixelGrid, block_ysize: int, block_xsize: int,
                     "data": patch.ravel(),
                 }
             )
-        schema = pa.schema(
-            [
-                ("tile_y", pa.int32()),
-                ("tile_x", pa.int32()),
-                ("top", pa.int32()),
-                ("left", pa.int32()),
-                ("nrows", pa.int32()),
-                ("ncols", pa.int32()),
-                ("band", pa.int32()),
-                ("data", pa.list_(pa.float64())),
-            ]
-        )
-        return pa.Table.from_pylist(rows, schema=schema)
+        return pa.Table.from_pylist(rows, schema=TILE_SCHEMA)
 
     return rasterize
 

@@ -640,3 +640,46 @@ def test_single_pass_apply_runs_two_jobs(fixtures, tmp_path, monkeypatch):
     manifest = json.load(open(os.path.join(out, "_grid.json")))
     assert manifest["stats"]["0"]["count"] == 250000
     assert manifest["overviews"]["levels"] == [4, 8]
+
+
+def test_close_streams_wide_range_histograms(fixtures, tmp_path, monkeypatch):
+    """Closing an output of many blocks of full-range uint16 data never
+    holds all the per-tile histograms on the driver: the partials reach
+    the merge as a stream of small batches, and the Arrow bytes held
+    while it runs stay a small fraction of the histograms' total."""
+    import pyarrow as pa
+
+    from rios_ray import applier as applier_mod
+
+    held, rows = [], []
+    merge = applier_mod.merge_partials
+
+    def watched_merge(tables, *args, **kwargs):
+        def watched():
+            for t in tables:
+                held.append(pa.total_allocated_bytes())
+                rows.append(t.num_rows)
+                yield t
+        return merge(watched(), *args, **kwargs)
+
+    monkeypatch.setattr(applier_mod, "merge_partials", watched_merge)
+
+    def spread(info, inputs, outputs):
+        # a full-range uint16 value per pixel, from its band-0 value
+        v = inputs.img[0].astype(np.uint64) * 2654435761
+        outputs.out = (v % 65536).astype(np.uint16)[None]
+
+    controls = ApplierControls()
+    controls.setOmitPyramids(True)
+    controls.setWindowSize(50, 50)
+    out = str(tmp_path / "wide.parquet")
+    base = pa.total_allocated_bytes()
+    apply(spread, {"img": fixtures["rowcol2"]}, {"out": out}, controls=controls,
+          out_dir=str(tmp_path))
+    n_tiles, hist_bytes = 100, 65536 * 8
+    assert sum(rows) == n_tiles and max(rows) < n_tiles
+    assert max(held) - base < n_tiles * hist_bytes // 4
+    want = ((fixtures["rc_arr"][0].astype(np.uint64) * 2654435761) % 65536).astype(np.uint16)
+    got = read_stats_sidecar(out)["0"]
+    assert (got["min"], got["max"], got["count"]) == (want.min(), want.max(), want.size)
+    assert got["mean"] == pytest.approx(want.mean(), rel=1e-12)

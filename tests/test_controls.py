@@ -231,6 +231,29 @@ def test_hook_path_writes_overviews_of_edited_table(ramp, tmp_path):
     assert stats["mean"] == pytest.approx(want.mean(), rel=1e-12)
 
 
+def test_hook_path_new_subdir_and_raising_hook(ramp, tmp_path):
+    """A hooked output may sit in a directory that does not exist yet,
+    and a hook that raises leaves the previous output in place."""
+    controls = ApplierControls()
+    controls.callBeforeClose(lambda handle: None)
+    out = str(tmp_path / "sub" / "dir" / "hooked.parquet")
+    apply(_make_ident(), {"img": ramp["ti"]}, {"out": out}, controls=controls,
+          out_dir=str(tmp_path / "scratch"))
+    before = pq.read_table(out)
+    assert before.num_rows > 0
+
+    def boom(handle):
+        raise RuntimeError("hook failed")
+
+    controls2 = ApplierControls()
+    controls2.callBeforeClose(boom)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        apply(_make_ident(), {"img": ramp["ti"]}, {"out": out}, controls=controls2,
+              out_dir=str(tmp_path / "scratch"))
+    assert pq.read_table(out).equals(before)
+    assert json.load(open(out + ".grid.json"))["overviews"]["levels"] == [4, 8]
+
+
 def test_omit_and_approx_stats(ramp, tmp_path):
     controls = ApplierControls()
     controls.setOmitPyramids(True)
@@ -251,6 +274,13 @@ def test_omit_and_approx_stats(ramp, tmp_path):
     # sampled: fewer pixels than the full image, sane mean
     assert 0 < stats["0"]["count"] < 500 * 500
     assert abs(stats["0"]["mean"] - float(ramp["arr"].mean())) < 20.0
+
+    # the close-time recompute takes the same sample
+    controls2.setSinglePassBasicStats(False)
+    out3 = str(tmp_path / "o3.parquet")
+    apply(_make_ident(), {"img": ramp["ti"]}, {"out": out3}, controls=controls2,
+          out_dir=str(tmp_path))
+    assert read_stats_sidecar(out3) == stats
 
 
 def test_auto_color_table(ramp, tmp_path):

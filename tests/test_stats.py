@@ -167,6 +167,38 @@ def test_merge_partials_order_independent():
             assert got[b].count == 300 * 300
 
 
+def test_merge_partials_streams_histograms():
+    """Histograms add up table by table: merging a stream of wide-range
+    uint16 partials never holds more than a few tables' histograms
+    (Arrow pool bytes), and gives the same result as one merged table."""
+    rng = np.random.default_rng(5)
+    fn = stats.make_partials_fn(np.uint16)
+    n_tables, hist_bytes = 40, 65536 * 8
+
+    def tiles():
+        for i in range(n_tables):
+            arr = rng.integers(0, 65536, (1, 64, 64), dtype=np.uint16)
+            arr[0, 0, 0] = 65535  # every histogram spans the full range
+            part = fn(synth.raster_to_tile_table(arr, block=64))
+            yield part.set_column(1, "top", pa.array([64 * i], pa.int32()))
+
+    held = []
+
+    def watched():
+        for t in tiles():
+            held.append(pa.total_allocated_bytes())
+            yield t
+
+    base = pa.total_allocated_bytes()
+    got = stats.merge_partials(watched(), dtype=np.dtype(np.uint16))
+    assert max(held) - base < 4 * hist_bytes  # all of them: 40 * hist_bytes
+    rng = np.random.default_rng(5)
+    want = stats.merge_partials([pa.concat_tables(list(tiles()))], dtype=np.dtype(np.uint16))
+    assert got[0].final_stats() == want[0].final_stats()
+    np.testing.assert_array_equal(got[0].hist_pos, want[0].hist_pos)
+    assert got[0].hist_pos.sum() == n_tables * 64 * 64
+
+
 def test_dataset_band_stats_ray(ray_session, tmp_path):
     import ray.data
 
