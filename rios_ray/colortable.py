@@ -49,19 +49,6 @@ def gen_color_table(num_entries: int, colortype: str, seed: int = 42) -> np.ndar
     return ct
 
 
-def color_table_arrow(ct: np.ndarray) -> pa.Table:
-    """RGBA array -> (value, red, green, blue, alpha) Arrow table."""
-    return pa.table(
-        {
-            "value": pa.array(np.arange(len(ct), dtype=np.int64)),
-            "red": pa.array(ct[:, 0]),
-            "green": pa.array(ct[:, 1]),
-            "blue": pa.array(ct[:, 2]),
-            "alpha": pa.array(ct[:, 3]),
-        }
-    )
-
-
 def apply_color_table(batch: pa.Table, ct: np.ndarray,
                       value_col: str = "value") -> pa.Table:
     """Broadcast lookup: append RGBA columns by pixel value (J5 —

@@ -1278,7 +1278,9 @@ def q8_market_share(
         rev = _cents(price * (1.0 - disc))
         sp, sfound = _sorted_lookup(
             sk_sorted, b["l_suppkey"].to_numpy(zero_copy_only=False))
-        is_nat = sfound & (sn_sorted[sp] == target_nation)
+        if not sfound.all():
+            raise ValueError("q8: lineitem references unknown supplier")
+        is_nat = sn_sorted[sp] == target_nation
         return pa.table({
             "l_orderkey": b["l_orderkey"],
             "rev_cents": pa.array(rev),
@@ -1626,7 +1628,9 @@ def q15_top_supplier(
         v = b["total_revenue_cents"].to_numpy(zero_copy_only=False)
         b = b.filter(pa.array(v == best if best is not None
                               else np.zeros(len(v), bool)))
-        sp, _ = _sorted_lookup(sk_s, b["s_suppkey"].to_numpy(zero_copy_only=False))
+        sp, found = _sorted_lookup(sk_s, b["s_suppkey"].to_numpy(zero_copy_only=False))
+        if not found.all():
+            raise ValueError("q15: top supplier missing from the supplier table")
         return pa.table({
             "s_suppkey": b["s_suppkey"],
             "s_name": pa.array(sname_s[sp], type=pa.string()),

@@ -5,32 +5,43 @@ run, ``/root/reference/rios/applier.py:1047-1052``); the BASELINE north
 rule requires it, so this layer is designed rather than ported:
 
 - **Partition** = resumable unit of work (an input shard, a key-range
-  bucket).  Each partition runs as its own short Ray Data pipeline
-  writing to ``out_dir/part=<name>/`` — failure mid-partition leaves no
-  lineage record, so a re-run redoes exactly that partition (the
-  partition write is idempotent: the directory is replaced on retry).
+  bucket): one short Ray Data pipeline whose output blocks become the
+  row groups of one Parquet file in ``out_dir/part=<name>/``.  Pending partitions run in a window of
+  ``min(cluster CPUs, pending)`` at once, the reference's bounded
+  ``ComputeWorkerManager`` pool, and each commits as soon as it
+  finishes.  A failed partition leaves no lineage record and no output,
+  so a re-run redoes exactly that partition.
 - **Lineage record** = one JSON file per committed partition under
   ``out_dir/_lineage/`` carrying inputs, rows/bytes out, wall time,
-  attempt count and Ray job id.  Commit is atomic (tmp + rename), so a
-  record either exists complete or not at all.
+  attempt count and Ray job id.  ``rows_out``/``bytes_out`` are read
+  back from the written Parquet footers and file sizes, so they are
+  exact by construction.  Commit is atomic (tmp + rename), so a record
+  either exists complete or not at all; an attempt marker beside it
+  counts the tries of a partition that started but never committed.
 - **Metrics** = a per-run actor accumulating (stage, partition) ->
-  rows/bytes/batches from a zero-copy pass-through ``map_batches``
-  wrapper; fire-and-forget remote adds keep the hot path non-blocking.
+  rows/bytes/batches, fed as each block is written; nothing waits on it.
 
-At cluster scale the driver loop issues partitions; each is a bounded
-streaming job, so the object store never holds more than a partition's
-working set and a preempted node costs one partition of rework.
+Datasets are built on the driver thread and only executed in the window
+threads, which write blocks with pyarrow's ``ParquetWriter``, never Ray
+Data's ``read_parquet``/``write_parquet``: Ray Data's path resolution
+re-imports ``fsspec.implementations.http`` on every call, and two
+threads importing it at once can see a half-initialised module.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
-import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
+from ray.data.block import BlockAccessor
 
 LINEAGE_DIRNAME = "_lineage"
 
@@ -66,20 +77,6 @@ class MetricsCollector:
         return {p: dict(v) for (s, p), v in self._m.items() if s == stage}
 
 
-def with_metrics(ds, collector, stage: str, partition: str):
-    """Pass-through stage that reports every batch's rows/bytes.
-
-    Zero-copy: the batch is returned as-is; only its counters travel to
-    the collector (remote call, not awaited on the hot path).
-    """
-
-    def observe(b: pa.Table) -> pa.Table:
-        collector.add.remote(stage, partition, b.num_rows, b.nbytes)
-        return b
-
-    return ds.map_batches(observe, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # --------------------------------------------------------------------------
 # lineage manifest
 # --------------------------------------------------------------------------
@@ -98,6 +95,13 @@ class LineageRecord:
     extra: dict = field(default_factory=dict)
 
 
+def _replace(path: str, text: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 class Manifest:
     """Directory of per-partition lineage JSON records (atomic commit)."""
 
@@ -105,8 +109,8 @@ class Manifest:
         self.dir = os.path.join(out_dir, LINEAGE_DIRNAME)
         os.makedirs(self.dir, exist_ok=True)
 
-    def _path(self, partition: str) -> str:
-        return os.path.join(self.dir, f"{partition}.json")
+    def _path(self, partition: str, ext: str = "json") -> str:
+        return os.path.join(self.dir, f"{partition}.{ext}")
 
     def done(self) -> set[str]:
         return {f[:-5] for f in os.listdir(self.dir) if f.endswith(".json")}
@@ -115,22 +119,55 @@ class Manifest:
         with open(self._path(partition)) as f:
             return LineageRecord(**json.load(f))
 
+    def begin(self, partition: str) -> int:
+        """Count one more try of ``partition``; returns the try number.
+        The marker lives until the partition commits."""
+        marker = self._path(partition, "attempt")
+        try:
+            with open(marker) as f:
+                attempt = int(f.read()) + 1
+        except FileNotFoundError:
+            attempt = 1
+        _replace(marker, str(attempt))
+        return attempt
+
     def commit(self, rec: LineageRecord) -> None:
-        tmp = self._path(rec.partition) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(asdict(rec), f)
-        os.replace(tmp, self._path(rec.partition))
+        _replace(self._path(rec.partition), json.dumps(asdict(rec)))
+        Path(self._path(rec.partition, "attempt")).unlink(missing_ok=True)
 
     def invalidate(self, partition: str) -> None:
-        try:
-            os.remove(self._path(partition))
-        except FileNotFoundError:
-            pass
+        Path(self._path(partition)).unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------------
 # resumable partitioned run
 # --------------------------------------------------------------------------
+
+
+def _write_blocks(ds, part_dir: str, collector, stage: str, name: str) -> tuple[int, int]:
+    """Execute ``ds`` and stream its non-empty output blocks (which
+    share one schema) into one Parquet file, a row group each; returns
+    (rows, bytes) from its footer and size.  One file per partition
+    keeps the downstream re-read to one file per partition."""
+    os.makedirs(part_dir)
+    path = os.path.join(part_dir, "part.parquet")
+    writer = None
+    try:
+        for bundle in ds.iter_internal_ref_bundles():
+            for ref, _ in bundle.blocks:
+                table = BlockAccessor.for_block(ray.get(ref)).to_arrow()
+                if table.num_rows == 0:
+                    continue
+                if writer is None:
+                    writer = pq.ParquetWriter(path, table.schema)
+                writer.write_table(table)
+                collector.add.remote(stage, name, table.num_rows, table.nbytes)
+    finally:
+        if writer is not None:
+            writer.close()
+    if writer is None:
+        return 0, 0
+    return pq.read_metadata(path).num_rows, os.path.getsize(path)
 
 
 def run_resumable(
@@ -140,62 +177,71 @@ def run_resumable(
     collector=None,
     stage: str = "write",
 ) -> dict:
-    """Run ``build(name, inputs) -> Dataset`` per partition, skipping
-    committed ones; write each to ``out_dir/part=<name>/`` and commit a
-    lineage record.
+    """Run ``build(name, inputs) -> Dataset`` for every partition without
+    a lineage record, ``min(cluster CPUs, pending)`` at a time; write
+    each to ``out_dir/part=<name>/`` and commit its record as soon as it
+    finishes.  ``rows_out``/``bytes_out`` come from the written footers.
+
+    ``build`` is called on the calling thread (see the module docstring);
+    only the execution and the write run in the window.  A failed
+    partition does not stop the others: once every partition has
+    finished, the first failure (in partition order) is re-raised.
 
     ``partitions``: partition name -> list of input paths (recorded as
-    lineage).  Returns {"ran": [...], "skipped": [...], "manifest": M}.
+    lineage).  Returns {"ran": [...], "skipped": [...], "manifest": M,
+    "collector": C}, both lists in partition order.
     """
     manifest = Manifest(out_dir)
     done = manifest.done()
-    own_collector = collector is None
-    if own_collector:
+    if collector is None:
         collector = MetricsCollector.remote()
-    ran, skipped = [], []
+    skipped = [n for n in partitions if n in done]
+    pending = [n for n in partitions if n not in done]
     try:
         job_id = ray.get_runtime_context().get_job_id()
     except Exception:
         job_id = "driver"
+    window = max(1, min(int(ray.cluster_resources().get("CPU", 1)), len(pending)))
+    slots = threading.Semaphore(window)
 
-    for name, inputs in partitions.items():
-        if name in done:
-            skipped.append(name)
-            continue
+    def run_one(name: str, ds, attempt: int, t0: float) -> None:
         part_dir = os.path.join(out_dir, f"part={name}")
-        t0 = time.time()
-        ds = build(name, inputs)
-        ds = with_metrics(ds, collector, stage, name)
-        # idempotent retry: replace any partial output from a failed try
-        import shutil
+        try:
+            # idempotent retry: replace any partial output of a failed try
+            shutil.rmtree(part_dir, ignore_errors=True)
+            rows, nbytes = _write_blocks(ds, part_dir, collector, stage, name)
+            manifest.commit(LineageRecord(
+                partition=name, inputs=list(partitions[name]), rows_out=rows,
+                bytes_out=nbytes, wall_s=round(time.time() - t0, 3),
+                attempt=attempt, job_id=job_id, committed_at=time.time()))
+        except BaseException:
+            shutil.rmtree(part_dir, ignore_errors=True)
+            raise
+        finally:
+            slots.release()
 
-        shutil.rmtree(part_dir, ignore_errors=True)
-        ds.write_parquet(part_dir)
-        # metric adds are fire-and-forget from workers; the write being
-        # done means they were submitted, not landed — poll until two
-        # consecutive reads agree (bounded)
-        totals = None
-        for _ in range(40):
-            cur = ray.get(collector.partition_totals.remote(stage)).get(name)
-            if cur is not None and cur == totals:
-                break
-            totals = cur
-            time.sleep(0.05)
-        totals = totals or {"rows": 0, "bytes": 0}
-        manifest.commit(
-            LineageRecord(
-                partition=name,
-                inputs=list(inputs),
-                rows_out=totals["rows"],
-                bytes_out=totals["bytes"],
-                wall_s=round(time.time() - t0, 3),
-                attempt=1,
-                job_id=job_id,
-                committed_at=time.time(),
-            )
-        )
-        ran.append(name)
-    return {"ran": ran, "skipped": skipped, "manifest": manifest, "collector": collector}
+    errors, futures = {}, {}
+    with ThreadPoolExecutor(window) as pool:
+        for name in pending:
+            slots.acquire()
+            attempt, t0 = manifest.begin(name), time.time()
+            try:
+                ds = build(name, partitions[name])
+            except Exception as e:
+                slots.release()
+                errors[name] = e
+                continue
+            futures[name] = pool.submit(run_one, name, ds, attempt, t0)
+    for name, f in futures.items():
+        if f.exception() is not None:
+            errors[name] = f.exception()
+    if errors:
+        name = next(n for n in pending if n in errors)
+        errors[name].add_note(f"partition {name!r}; {len(errors)} of "
+                              f"{len(pending)} pending partitions failed")
+        raise errors[name]
+    return {"ran": pending, "skipped": skipped, "manifest": manifest,
+            "collector": collector}
 
 
 def shard_partitions(path: str) -> dict[str, list[str]]:

@@ -1,13 +1,7 @@
-"""Dataset sources.
-
-The planning-time probe pattern mirrors the reference's open/probe step
-(``/root/reference/rios/fileinfo.py:35-108`` ImageInfo): schema and row
-counts come from parquet metadata on the driver, no cluster work.
-"""
+"""Dataset sources: the synthesized pages shards and polygon layer."""
 
 from __future__ import annotations
 
-import pyarrow.parquet as pq
 import ray.data
 
 from .. import synth
@@ -57,9 +51,3 @@ def read_pages(
 def read_polygons() -> ray.data.Dataset:
     path, _ = synth.ensure_polygons()
     return ray.data.read_parquet(path)
-
-
-def probe_schema(path: str):
-    """Driver-side metadata probe (ImageInfo analogue): schema + rows."""
-    f = pq.ParquetFile(path)
-    return f.schema_arrow, f.metadata.num_rows

@@ -172,26 +172,6 @@ class PolygonIndex:
         return pt[inside], self.poly_ids[poly_k[inside]]
 
 
-def pip_contains_oracle(
-    px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]
-) -> np.ndarray:
-    """Independent brute-force PIP (winding-free crossing count over ALL
-    polygons, no index) — test oracle for :class:`PolygonIndex`.
-    Returns an (n_points, n_polys) bool matrix."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    out = np.zeros((len(px), len(rings)), dtype=bool)
-    for k, ring in enumerate(rings):
-        ring = np.asarray(ring, dtype=np.float64)
-        x1, y1 = ring[:-1, 0][None, :], ring[:-1, 1][None, :]
-        x2, y2 = ring[1:, 0][None, :], ring[1:, 1][None, :]
-        straddle = (y1 > py[:, None]) != (y2 > py[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = (x2 - x1) * (py[:, None] - y1) / (y2 - y1) + x1
-        out[:, k] = (straddle & (px[:, None] < xint)).sum(axis=1) % 2 == 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kNN via expanding cell rings + exact refine
 # ---------------------------------------------------------------------------

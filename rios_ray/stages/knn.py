@@ -69,18 +69,6 @@ class KnnPartialStage:
         )
 
 
-def knn_final_merge(k: int):
-    """Per-qid final reduce: exact top-k with (d2, url) tie-break."""
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["d2", "url"], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return merge
-
-
 def knn_final_merge_all(k: int):
     """Single-task final reduce over ALL qids at once.
 
@@ -88,9 +76,8 @@ def knn_final_merge_all(k: int):
     costs ~1.6 s of fixed overhead per run on a result that is only
     ``|blocks| x |queries| x k`` rows.  Gathering those partials to one
     task (``repartition(1)``) and doing a vectorized lexsort +
-    per-group head-k is strictly cheaper until |queries| x k stops
-    fitting in one block — at which point the groupby path (same
-    semantics) is the fallback."""
+    per-group head-k is strictly cheaper while |queries| x k fits in
+    one block."""
 
     def merge(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(["qid", "d2", "url"], kind="mergesort")

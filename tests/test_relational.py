@@ -554,3 +554,41 @@ def test_q15_empty_window(ray_session):
         SF, date_from="1990-01-01", date_to="1990-02-01"
     ).to_pandas()
     assert len(got) == 0
+
+
+def _without_suppliers(tmp_path, drop) -> str:
+    """A copy of the SF dir whose supplier table lacks ``drop(keys)``
+    (the other tables are symlinked), so lineitems reference suppliers
+    that do not exist."""
+    import os
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    out = tmp_path / "sf"
+    out.mkdir()
+    for f in os.listdir(SF):
+        if f != "supplier.parquet":
+            os.symlink(os.path.join(SF, f), out / f)
+    supp = pq.read_table(os.path.join(SF, "supplier.parquet"))
+    keys = supp["s_suppkey"].to_numpy()
+    pq.write_table(supp.filter(~np.isin(keys, drop(keys))), out / "supplier.parquet")
+    return str(out)
+
+
+def test_q8_unknown_supplier_raises(ray_session, tmp_path):
+    """q8 fails loud on a lineitem whose supplier is missing instead of
+    silently dropping its revenue from the national numerator."""
+    sf = _without_suppliers(tmp_path, lambda keys: keys[keys % 2 == 0])
+    with pytest.raises(Exception, match="q8: lineitem references unknown supplier"):
+        R.q8_market_share(sf).to_pandas()
+
+
+def test_q15_unknown_winner_raises(ray_session, tmp_path):
+    """q15 fails loud when the top supplier is missing from the supplier
+    table instead of taking a neighbouring supplier's name."""
+    winners = R.q15_top_supplier(SF).to_pandas()["s_suppkey"].tolist()
+    assert winners
+    sf = _without_suppliers(tmp_path, lambda keys: winners)
+    with pytest.raises(Exception, match="q15: top supplier missing"):
+        R.q15_top_supplier(sf).to_pandas()

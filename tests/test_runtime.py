@@ -1,12 +1,17 @@
 """Checkpoint-resume runtime tests: lineage records, metrics, skip-on-
 resume, and parity of a resumed run with the direct pipeline."""
 
+import asyncio
 import json
 import os
 import shutil
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray
+import ray.data
 
 from rios_ray import runtime
 from rios_ray.pipelines.pages import flagship
@@ -127,3 +132,108 @@ def test_global_int_sum_overflow_raises(ray_session):
         global_int_sum(two_blocks, "v")
     cancel = ray.data.from_arrow(pa.table({"v": pa.array([big, big, -big, -big], pa.int64())}))
     assert global_int_sum(cancel, "v") == 0
+
+
+# --------------------------------------------------------------------------
+# run_resumable over small synthetic partitions: window, footer-exact
+# lineage, fault injection and resume
+# --------------------------------------------------------------------------
+
+ROWS = 1500
+PARTS = {f"p{i}": [f"range-{i}"] for i in range(5)}
+
+
+@ray.remote(num_cpus=0)
+class _Barrier:
+    """Opens once ``parties`` distinct partitions have arrived."""
+
+    def __init__(self, parties: int):
+        self.parties, self.seen, self.open = parties, set(), asyncio.Event()
+
+    async def arrive(self, name: str, timeout_s: float) -> None:
+        self.seen.add(name)
+        if len(self.seen) >= self.parties:
+            self.open.set()
+        await asyncio.wait_for(self.open.wait(), timeout_s)
+
+
+def _build(fail_run=(), fail_build=(), barrier=None):
+    """Partition ``p<i>`` = ``range(ROWS)`` tagged with ``i``.  Names in
+    ``fail_run`` raise inside their Ray Data job, names in ``fail_build``
+    raise from ``build`` itself; with a ``barrier`` every partition waits
+    (bounded) until two partitions are running."""
+
+    def build(name, inputs):
+        if name in fail_build:
+            raise RuntimeError(f"injected build failure in {name}")
+        i = int(name[1:])
+
+        def tag(b: pa.Table) -> pa.Table:
+            if barrier is not None:
+                ray.get(barrier.arrive.remote(name, 30.0))
+            if name in fail_run:
+                raise RuntimeError(f"injected run failure in {name}")
+            part = pa.array([i] * b.num_rows, pa.int64())
+            return b.append_column("part", part).append_column("v", pc.multiply(b["id"], i))
+
+        return ray.data.range(ROWS, override_num_blocks=2).map_batches(tag, batch_format="pyarrow")
+
+    return build
+
+
+def _part_files(out, name):
+    pdir = os.path.join(out, f"part={name}")
+    return sorted(os.path.join(pdir, f) for f in os.listdir(pdir) if f.endswith(".parquet"))
+
+
+def _finalized(out) -> bytes:
+    """Every committed partition's rows in one canonical Parquet image."""
+    t = pa.concat_tables(pq.ParquetFile(f).read() for n in PARTS for f in _part_files(out, n))
+    sink = pa.BufferOutputStream()
+    pq.write_table(t.sort_by([("part", "ascending"), ("id", "ascending")]), sink)
+    return sink.getvalue().to_pybytes()
+
+
+def test_lineage_counts_equal_footers(ray_session, tmp_path):
+    out = str(tmp_path / "out")
+    res = runtime.run_resumable(PARTS, _build(), out)
+    assert res["ran"] == list(PARTS) and res["skipped"] == []
+    m = res["manifest"]
+    for name in PARTS:
+        rec = m.read(name)
+        files = _part_files(out, name)
+        assert rec.rows_out == sum(pq.read_metadata(f).num_rows for f in files) == ROWS
+        assert rec.bytes_out == sum(os.path.getsize(f) for f in files)
+        assert rec.attempt == 1
+    # committed partitions leave no attempt marker or tmp file behind
+    assert sorted(os.listdir(m.dir)) == sorted(f"{n}.json" for n in PARTS)
+
+
+def test_window_runs_partitions_concurrently(ray_session, tmp_path):
+    """Each partition blocks until two partitions are inside their jobs
+    at once; a one-at-a-time loop times out in the barrier and fails."""
+    barrier = _Barrier.remote(2)
+    res = runtime.run_resumable(PARTS, _build(barrier=barrier), str(tmp_path / "out"))
+    assert res["ran"] == list(PARTS)
+
+
+def test_failed_partitions_resume_to_identical_output(ray_session, tmp_path):
+    clean = str(tmp_path / "clean")
+    runtime.run_resumable(PARTS, _build(), clean)
+
+    out = str(tmp_path / "crash")
+    with pytest.raises(Exception, match="injected run failure in p1"):
+        runtime.run_resumable(PARTS, _build(fail_run={"p1"}, fail_build={"p3"}), out)
+    m = runtime.Manifest(out)
+    # the partitions in flight beside the failures still committed
+    assert m.done() == set(PARTS) - {"p1", "p3"}
+    for name in ("p1", "p3"):
+        assert not os.path.exists(os.path.join(out, f"part={name}"))
+    assert not [f for _, _, fs in os.walk(out) for f in fs if f.endswith(".tmp")]
+
+    again = runtime.run_resumable(PARTS, _build(), out)
+    assert again["ran"] == ["p1", "p3"]
+    assert again["skipped"] == ["p0", "p2", "p4"]
+    assert {n: m.read(n).attempt for n in PARTS} == {
+        "p0": 1, "p1": 2, "p2": 1, "p3": 2, "p4": 1}
+    assert _finalized(out) == _finalized(clean)
