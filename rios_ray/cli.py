@@ -119,14 +119,10 @@ def cmd_run(sf_dir: str, out: str, fresh: bool = False) -> int:
         # under `ray job submit` RAY_ADDRESS points at the cluster;
         # standalone it is "local" in this sandbox
         ray.init(include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    # shallow map chains + one exchange: per-operator resource
-    # reservation only throttles them (3.3x at 8 cpus, see bench.py)
-    ctx = DataContext.get_current()
-    ctx.op_resource_reservation_enabled = False
-    ctx.read_op_min_num_blocks = 2 * int(ray.cluster_resources().get("CPU", 4))
+    from . import session
     from .pipelines.resumable import finalize_flagship, resumable_flagship
+
+    session.tune()
 
     if fresh:
         shutil.rmtree(out, ignore_errors=True)

@@ -52,6 +52,17 @@ def cluster_partitions() -> int:
     return max(16, 2 * cpus)
 
 
+def rename_aggregates(g: pa.Table, spec: list[tuple], names: list[str]) -> pa.Table:
+    """Rename the aggregate columns of ``t.group_by(keys).aggregate(spec)``
+    to ``names`` by pyarrow's output names (``<col>_<fn>``; ``count_all``
+    for a column-less count), never by position: pyarrow 16 emits the
+    keys first, older releases the aggregates first."""
+    new: dict[str, list[str]] = {}
+    for (col, fn, *_), name in zip(spec, names):
+        new.setdefault(f"{col}_{fn}" if col else fn, []).append(name)
+    return g.rename_columns([new[c].pop(0) if new.get(c) else c for c in g.column_names])
+
+
 _FINAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
@@ -80,14 +91,14 @@ def hash_grouped_aggregate(
     if num_partitions is None:
         num_partitions = cluster_partitions()
     tree = final_mode == "tree"
+    names = [a for _, _, a in aggs]
 
     def partial(batch: pa.Table) -> pa.Table:
         spec = [
             (([] if fn == "count" else c), "count_all" if fn == "count" else fn)
             for c, fn, _ in aggs
         ]
-        g = batch.group_by(keys).aggregate(spec)
-        g = g.rename_columns(list(keys) + [a for _, _, a in aggs])
+        g = rename_aggregates(batch.group_by(keys).aggregate(spec), spec, names)
         if tree:
             return g
         return g.append_column("_part", pa.array(_part_of(g, keys, num_partitions)))
@@ -96,8 +107,7 @@ def hash_grouped_aggregate(
         if "_part" in b.column_names:
             b = b.drop_columns(["_part"])
         spec = [(a, _FINAL_FN[fn]) for _, fn, a in aggs]
-        g = b.group_by(keys).aggregate(spec)
-        return g.rename_columns(list(keys) + [a for _, _, a in aggs])
+        return rename_aggregates(b.group_by(keys).aggregate(spec), spec, names)
 
     # batch_size=None: one partial per input block.  A row-count batch
     # here would also drive Ray's task bundling (min_rows_per_bundle)

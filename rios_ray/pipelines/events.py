@@ -183,7 +183,7 @@ def distinct_users(sf_dir: str, window_us: int = DEFAULT_WINDOW_US):
     count is bounded by the time range).  No global distinct set is
     ever materialized anywhere.
     """
-    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
+    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates
 
     def pairs(b: pa.Table) -> pa.Table:
         w = _epoch_us(b) // window_us
@@ -197,7 +197,7 @@ def distinct_users(sf_dir: str, window_us: int = DEFAULT_WINDOW_US):
     def per_partition(tbl: pa.Table) -> pa.Table:
         d = tbl.group_by(["window", "user_id"]).aggregate([])
         g = d.group_by(["window"]).aggregate([([], "count_all")])
-        return g.rename_columns(["window", "n_part"])
+        return rename_aggregates(g, [([], "count_all")], ["n_part"])
 
     parts = hash_partitioned_groups(ds, ["window", "user_id"], per_partition)
     return hash_grouped_aggregate(

@@ -480,7 +480,7 @@ def pages_cube(sf_dir: str) -> ray.data.Dataset:
     """
     import pyarrow.compute as pc
 
-    from ..functions.agg import hash_grouped_aggregate
+    from ..functions.agg import hash_grouped_aggregate, rename_aggregates
 
     def lang_tld(b: pa.Table) -> pa.Table:
         host = pc.struct_field(pc.extract_regex(b["url"], HOST_RE), "host")
@@ -506,7 +506,7 @@ def pages_cube(sf_dir: str) -> ray.data.Dataset:
             pa.table({"lang": all_, "tld": all_, "n_pages": n}),
         ])
         g = out.group_by(["lang", "tld"]).aggregate([("n_pages", "sum")])
-        return g.rename_columns(["lang", "tld", "n_pages"])
+        return rename_aggregates(g, [("n_pages", "sum")], ["n_pages"])
 
     # finest is one block (tree final): the cube expansion is one task
     return finest.map_batches(

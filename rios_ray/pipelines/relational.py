@@ -29,7 +29,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
+from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates
 
 BATCH = 65536
 
@@ -1859,7 +1859,7 @@ def q20_excess_suppliers(
             "qty": pa.array(
                 b["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)),
         }).group_by(["l_partkey", "l_suppkey"]).aggregate([("qty", "sum")])
-        return g.rename_columns(["l_partkey", "l_suppkey", "sq"])
+        return rename_aggregates(g, [("qty", "sum")], ["sq"])
 
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"]

@@ -775,6 +775,7 @@ def heavy_hitter_tokens(sf_dir: str, k: int = 30) -> ray.data.Dataset:
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from ..functions.agg import rename_aggregates
     from ..functions.sketch import mg_compress, mg_partial
 
     def explode(b: pa.Table):
@@ -827,7 +828,7 @@ def heavy_hitter_tokens(sf_dir: str, k: int = 30) -> ray.data.Dataset:
         is_tot = pc.is_null(tbl["token"])
         total = int(pc.sum(tbl.filter(is_tot)["n"]).as_py())
         g = tbl.filter(pc.invert(is_tot)).group_by(["token"]).aggregate([("n", "sum")])
-        g = g.rename_columns(["token", "n"])
+        g = rename_aggregates(g, [("n", "sum")], ["n"])
         keep = pc.greater(pc.multiply(g["n"], pa.scalar(k, type=pa.int64())),
                           pa.scalar(total, type=pa.int64()))
         return g.filter(keep)

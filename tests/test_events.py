@@ -522,3 +522,28 @@ def test_exact_float_sum_rejects_null_keys(ray_session):
     got = dict(zip(out["k"], out["sum_value"]))
     assert got["a"] == math.fsum([0.1, 0.3])
     assert got["b"] == math.fsum([0.2])
+
+
+def test_rename_aggregates_by_output_name():
+    """Aggregate columns are renamed by pyarrow's output name, so the
+    aggregates-first layout of older pyarrow lands on the same names."""
+    import pyarrow as pa
+
+    from rios_ray.functions.agg import rename_aggregates
+
+    spec = [("qty", "sum"), ([], "count_all")]
+    aggs_first = pa.table({"qty_sum": [5, 7], "count_all": [2, 1], "k": ["a", "b"]})
+    out = rename_aggregates(aggs_first, spec, ["sq", "n"])
+    assert out.column_names == ["sq", "n", "k"]
+    assert out["k"].to_pylist() == ["a", "b"]
+    assert out["sq"].to_pylist() == [5, 7]
+    # repeated aggregates share an output name and keep their spec order
+    dup = pa.Table.from_arrays([pa.array([2]), pa.array([2]), pa.array(["a"])],
+                               names=["count_all", "count_all", "k"])
+    out = rename_aggregates(dup, [([], "count_all")] * 2, ["n1", "n2"])
+    assert out.column_names == ["n1", "n2", "k"]
+    # the layout this pyarrow emits gives the same named columns
+    t = pa.table({"k": ["a", "b", "a"], "qty": [1, 7, 4]})
+    out = rename_aggregates(t.group_by(["k"]).aggregate(spec), spec, ["sq", "n"])
+    assert sorted(zip(*(out[c].to_pylist() for c in ["k", "sq", "n"]))) == [
+        ("a", 5, 2), ("b", 7, 1)]

@@ -1,17 +1,29 @@
 """Driver-simulator: run queries() vs oracle_sql() side by side at sf0.01.
 
 Mirrors the graft driver's correctness gate: row count + schema (column
-names) + order-insensitive value hash.  Usage::
+names) + order-insensitive value hash, under the same engine session
+(``rios_ray.session``) as ``bench.py``.  Usage::
 
     python tools/check_correctness.py [sf_dir] [query ...]
     python tools/check_correctness.py [sf_dir] --window   # first 50 only
+
+One human-readable line per query, then, as the final stdout line, one
+JSON object ``{query: {rows_match, schema_match, hash_match, spark_rows,
+oracle_rows, err}}`` in the ``CORRECTNESS_rNN.json`` ledger schema
+(match fields are null for a query without an oracle, or one that
+raised).  The exit status is the number of failing queries.
 """
 
 from __future__ import annotations
 
+import glob
+import json
+import os
 import sys
+import time
 
 import duckdb
+import numpy as np
 import pandas as pd
 
 
@@ -32,94 +44,100 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
+def compare(ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> tuple[dict, list[str]]:
+    """The ledger's match fields for one query, and what differs."""
+    verdict = {
+        "rows_match": len(ray_df) == len(sql_df),
+        "schema_match": sorted(ray_df.columns) == sorted(sql_df.columns),
+        "hash_match": False,
+    }
     problems = []
-    if sorted(ray_df.columns) != sorted(sql_df.columns):
+    if not verdict["schema_match"]:
         problems.append(f"schema: ray={sorted(ray_df.columns)} sql={sorted(sql_df.columns)}")
-        return problems
-    if len(ray_df) != len(sql_df):
+        return verdict, problems
+    if not verdict["rows_match"]:
         problems.append(f"rows: ray={len(ray_df)} sql={len(sql_df)}")
+        return verdict, problems
     a, b = canon(ray_df), canon(sql_df)
-    if len(a) == len(b):
-        for col in a.columns:
-            av, bv = a[col], b[col]
-            try:
-                # Dtype-strict, like the driver's value hash: an int64 Ray
-                # column vs a float64 (HUGEINT-derived) oracle column is a
-                # FAIL even when the values coerce equal.
-                if av.dtype != bv.dtype:
-                    problems.append(
-                        f"dtype mismatch in column {col!r}: "
-                        f"ray={av.dtype} sql={bv.dtype}"
-                    )
-                    continue
-                if av.dtype.kind == "f":
-                    import numpy as np
-
-                    if not np.array_equal(
-                        av.to_numpy(dtype=float), bv.to_numpy(dtype=float), equal_nan=True
-                    ):
-                        problems.append(f"values differ in column {col!r}")
-                else:
-                    if not av.astype(object).equals(bv.astype(object)):
-                        problems.append(f"values differ in column {col!r}")
-            except Exception as e:  # noqa: BLE001
-                problems.append(f"compare error in {col!r}: {e}")
-    return problems
+    for col in a.columns:
+        av, bv = a[col], b[col]
+        try:
+            # Dtype-strict, like the gate's value hash: an int64 Ray
+            # column vs a float64 (HUGEINT-derived) oracle column is a
+            # FAIL even when the values coerce equal.
+            if av.dtype != bv.dtype:
+                problems.append(
+                    f"dtype mismatch in column {col!r}: "
+                    f"ray={av.dtype} sql={bv.dtype}"
+                )
+                continue
+            if av.dtype.kind == "f":
+                if not np.array_equal(
+                    av.to_numpy(dtype=float), bv.to_numpy(dtype=float), equal_nan=True
+                ):
+                    problems.append(f"values differ in column {col!r}")
+            else:
+                if not av.astype(object).equals(bv.astype(object)):
+                    problems.append(f"values differ in column {col!r}")
+        except Exception as e:  # noqa: BLE001
+            problems.append(f"compare error in {col!r}: {e}")
+    verdict["hash_match"] = not problems
+    return verdict, problems
 
 
 def main() -> int:
-    import ray
-
     args = [a for a in sys.argv[1:] if a != "--window"]
     window_only = "--window" in sys.argv
     sf_dir = args[0] if args else "/root/testdata/sf0.01"
     only = set(args[1:])
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import ray
 
-    DataContext.get_current().enable_progress_bars = False
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
+    from rios_ray import session
 
+    session.init(num_cpus=8)
     qs = entrymod.queries()
     if window_only:  # exactly what the driver gates: the first 50 entries
         qs = dict(list(qs.items())[:50])
     oracles = entrymod.oracle_sql()
 
     con = duckdb.connect()
-    import glob
-    import os
-
     for t in glob.glob(os.path.join(sf_dir, "*.parquet")):
         name = os.path.splitext(os.path.basename(t))[0]
         con.sql(f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{t}')")
 
+    ledger: dict[str, dict] = {}
     failures = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        import time
-
+        row = dict(rows_match=None, schema_match=None, hash_match=None,
+                   spark_rows=None, oracle_rows=None, err=None)
+        problems: list[str] = []
         t0 = time.time()
-        ray_df = to_pandas(fn(sf_dir))
-        t_ray = time.time() - t0
-        if name not in oracles:
-            print(f"  {name:28s} rows-only: {len(ray_df)} rows  ({t_ray:.1f}s ray)")
-            continue
-        t0 = time.time()
-        sql_df = con.sql(oracles[name]).df()
-        t_sql = time.time() - t0
-        problems = compare(name, ray_df, sql_df)
-        status = "OK " if not problems else "FAIL"
+        try:
+            ray_df = to_pandas(fn(sf_dir))
+            row["spark_rows"] = len(ray_df)
+            if name in oracles:
+                sql_df = con.sql(oracles[name]).df()
+                row["oracle_rows"] = len(sql_df)
+                verdict, problems = compare(ray_df, sql_df)
+                row.update(verdict)
+        # one raising query is a FAIL row, not the end of the ledger
+        except Exception as e:  # noqa: BLE001
+            row["err"] = f"{type(e).__name__}: {e}"
+            problems = [row["err"]]
+        ledger[name] = row
+        status = "FAIL" if problems else ("OK " if name in oracles else "rows-only")
         print(
-            f"  {name:28s} {status} rows={len(ray_df)}  ({t_ray:.1f}s ray, {t_sql:.1f}s sql)"
+            f"  {name:28s} {status} rows={row['spark_rows']}  ({time.time() - t0:.1f}s)"
             + ("" if not problems else f"  -> {problems}")
         )
         failures += bool(problems)
     ray.shutdown()
+    print(json.dumps(ledger))
     return failures
 
 

@@ -21,23 +21,13 @@ def main() -> None:
     name = sys.argv[1]
     sf_dir = sys.argv[2] if len(sys.argv) > 2 else "/root/testdata/sf0.01"
 
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import ray
 
-    ray.init(
-        address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-        include_dashboard=False,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.op_resource_reservation_enabled = False
-
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
+    from rios_ray import session
 
+    session.init(num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     fn = entry.queries()[name]
     t0 = time.time()
     res = fn(sf_dir)
