@@ -1,1 +1,1 @@
-from .agg import grouped_count, grouped_sum  # noqa: F401
+from .agg import grouped_count  # noqa: F401

@@ -66,6 +66,55 @@ def rename_aggregates(g: pa.Table, spec: list[tuple], names: list[str]) -> pa.Ta
 _FINAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
+def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str | None, str, str]],
+                      num_partitions: int | None = None):
+    """One ``(keys..., aliases...)`` partial row per key per input block
+    (the combiner half of :func:`hash_grouped_aggregate`; ``aggs`` as
+    there).  With ``num_partitions`` each partial also carries the
+    ``_part`` hash column a keyed exchange partitions on."""
+    names = [a for _, _, a in aggs]
+    spec = [(([] if fn == "count" else c), "count_all" if fn == "count" else fn)
+            for c, fn, _ in aggs]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = rename_aggregates(batch.group_by(keys).aggregate(spec), spec, names)
+        if num_partitions is None:
+            return g
+        return g.append_column("_part", pa.array(_part_of(g, keys, num_partitions)))
+
+    # batch_size=None: one partial per input block.  A row-count batch
+    # here would also drive Ray's task bundling (min_rows_per_bundle)
+    # for the whole FUSED upstream chain — a 64k partial batch was
+    # observed to coarsen a 200-block stage into 75 tasks, and on noisy
+    # hosts coarse tasks mean stragglers.  Per-block partials keep task
+    # granularity at the read-block level and pre-aggregate at least as
+    # well (one combine over MORE rows).
+    return ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+
+
+def combine_partials(table: pa.Table, keys: list[str],
+                     aggs: list[tuple[str | None, str, str]]) -> pa.Table:
+    """Fold partial rows of :func:`partial_aggregate` (any grouping of
+    them: the combine is associative) into one row per key."""
+    spec = [(a, _FINAL_FN[fn]) for _, fn, a in aggs]
+    return rename_aggregates(table.group_by(keys).aggregate(spec), spec,
+                             [a for _, _, a in aggs])
+
+
+def combine_tree(partials, keys: list[str], aggs: list[tuple[str | None, str, str]]):
+    """Gather every partial into one block and combine once: no keyed
+    exchange, so only for a bounded distinct-key count."""
+
+    def final(b: pa.Table) -> pa.Table:
+        return combine_partials(b, keys, aggs)
+
+    return partials.repartition(1).map_batches(
+        final, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+
+
 def hash_grouped_aggregate(
     ds,
     keys: list[str],
@@ -87,49 +136,22 @@ def hash_grouped_aggregate(
       ~2 s at sf0.5).  Use ONLY when the distinct-key count is bounded
       (grid cells x categories), since the final combine is one task.
     """
+    if final_mode == "tree":
+        return combine_tree(partial_aggregate(ds, keys, aggs), keys, aggs)
+
+    def final(b: pa.Table) -> pa.Table:
+        return combine_partials(b, keys, aggs)
 
     if num_partitions is None:
         num_partitions = cluster_partitions()
-    tree = final_mode == "tree"
-    names = [a for _, _, a in aggs]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        spec = [
-            (([] if fn == "count" else c), "count_all" if fn == "count" else fn)
-            for c, fn, _ in aggs
-        ]
-        g = rename_aggregates(batch.group_by(keys).aggregate(spec), spec, names)
-        if tree:
-            return g
-        return g.append_column("_part", pa.array(_part_of(g, keys, num_partitions)))
-
-    def final(b: pa.Table) -> pa.Table:
-        if "_part" in b.column_names:
-            b = b.drop_columns(["_part"])
-        spec = [(a, _FINAL_FN[fn]) for _, fn, a in aggs]
-        return rename_aggregates(b.group_by(keys).aggregate(spec), spec, names)
-
-    # batch_size=None: one partial per input block.  A row-count batch
-    # here would also drive Ray's task bundling (min_rows_per_bundle)
-    # for the whole FUSED upstream chain — a 64k partial batch was
-    # observed to coarsen a 200-block stage into 75 tasks, and on noisy
-    # hosts coarse tasks mean stragglers.  Per-block partials keep task
-    # granularity at the read-block level and pre-aggregate at least as
-    # well (one combine over MORE rows).
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
-    if tree:
-        return partials.repartition(1).map_batches(
-            final, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
     # coalesce partial blocks to the partition count before the keyed
     # exchange: the sort shuffle spawns one map + one reduce task per
     # block, so 210 tiny partial blocks cost 420 near-empty tasks of
     # pure dispatch overhead (measured 6 s wall for 0.2 s of work);
     # 16 coalesced blocks -> 32 tasks
     return (
-        partials.repartition(num_partitions)
+        partial_aggregate(ds, keys, aggs, num_partitions)
+        .repartition(num_partitions)
         .groupby("_part")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -181,14 +203,6 @@ def grouped_count(ds, keys: list[str], alias: str = "n", num_partitions: int | N
     """count(*) per key group, pre-aggregated per batch."""
     return hash_grouped_aggregate(
         ds, keys, [(None, "count", alias)], num_partitions, final_mode
-    )
-
-
-def grouped_sum(ds, keys: list[str], value_col: str, alias: str, num_partitions: int | None = None,
-                final_mode: str = "partition"):
-    """sum(value) per key group, pre-aggregated per batch."""
-    return hash_grouped_aggregate(
-        ds, keys, [(value_col, "sum", alias)], num_partitions, final_mode
     )
 
 

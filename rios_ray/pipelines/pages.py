@@ -23,8 +23,8 @@ from ..stages.cellassign import (
     assign_cells,
 )
 from ..stages.geocode import extract_text, geocode
-from ..stages.knn import KnnPartialStage, knn_final_merge_all, knn_partial_fn
-from ..stages.pip import PIPJoinStage, pip_join_fn
+from ..stages.knn import knn_final_merge_all, knn_partial_fn
+from ..stages.pip import pip_join_fn
 
 GEO_COLS = ["url", "warc_ts", "lang", "extracted_text", "lat", "lon"]
 
@@ -73,28 +73,18 @@ def geocoded_pages(
     )
 
 
-def spatial_join(sf_dir: str, concurrency=None, **geo_kwargs) -> ray.data.Dataset:
+def spatial_join(sf_dir: str, **geo_kwargs) -> ray.data.Dataset:
     """Broadcast PIP join: one output row per (page, containing polygon).
 
     Runs on the shared TASK pool with a per-worker index cache
     (stages.pip.pip_join_fn): same build-once-per-process semantics as
     an actor pool, none of the per-execution pool cold-start (which
-    capped effective parallelism at ~5x on a 32-cpu run).  Pass
-    ``concurrency`` to force a dedicated actor pool instead.
+    capped effective parallelism at ~5x on a 32-cpu run).
     """
     ppath, _ = synth.ensure_polygons()
     polys_ref = ray.put(pq.read_table(ppath))
     geo_kwargs.setdefault("families", ("grid",))
     ds = geocoded_pages(sf_dir, keep_text=False, **geo_kwargs)
-    if concurrency is not None:
-        return ds.map_batches(
-            PIPJoinStage,
-            fn_constructor_kwargs={"polygons": polys_ref},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=BATCH_SIZE,
-            concurrency=concurrency,
-        )
     return ds.map_batches(
         pip_join_fn(polys_ref),
         batch_format="pyarrow",
@@ -103,8 +93,15 @@ def spatial_join(sf_dir: str, concurrency=None, **geo_kwargs) -> ray.data.Datase
     )
 
 
-def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
-    """Spatial-join + tiling headline: per-(cell, category) page counts.
+FLAGSHIP_KEYS = ["cell", "category"]
+FLAGSHIP_AGGS = [(None, "count", "n_pages")]
+
+
+def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
+                      paths: list[str] | None = None) -> ray.data.Dataset:
+    """The flagship's exchange-free map chain: one ``(cell, category,
+    n_pages)`` partial per block, to be folded with
+    ``combine_partials(..., FLAGSHIP_KEYS, FLAGSHIP_AGGS)``.
 
     Lean projection of the general path (the flagship is memory-
     bandwidth-bound once vectorized, so every byte not read or copied
@@ -112,21 +109,16 @@ def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
     html string (the geo token regex matches identically with or
     without the wrapper — no extracted-text copy), assigns only the
     grid cell (no s2/hex), and the PIP stage keeps only ``cell``.
-    Result is identical to
-    ``grouped_count(spatial_join(...), ["cell", "category"])`` —
-    verified by the same DuckDB oracle.
 
-    Pre-aggregated per batch (combiner) so the one shuffle moves
-    per-batch partials keyed by the same cell id used for tiling.
+    ``paths`` restricts the read to those shard files with one read
+    task per file (the checkpoint-resume unit); a full scan bundles
+    files into size-targeted read tasks.
     """
     import pyarrow.compute as pc
 
     from .. import cells as C
-    from ..functions.agg import grouped_count
+    from ..functions.agg import partial_aggregate
     from ..stages.geocode import GEO_PATTERN
-
-    ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
 
     def geocells(b: pa.Table) -> pa.Table:
         s = pc.cast(b["html"], pa.string())
@@ -140,7 +132,8 @@ def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
         )
         return pa.table({"lon": lon, "lat": lat, "cell": pa.array(cell)})
 
-    ds = read_pages(sf_dir, columns=["html"], bundle_files=True).map_batches(
+    ds = read_pages(sf_dir, columns=["html"], paths=paths,
+                    bundle_files=paths is None).map_batches(
         geocells, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
     )
     joined = ds.map_batches(
@@ -149,9 +142,23 @@ def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
     )
-    # tree final: cell x category cardinality is bounded by the grid
-    return grouped_count(joined, ["cell", "category"], alias="n_pages",
-                         final_mode="tree")
+    return partial_aggregate(joined, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
+
+
+def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
+    """Spatial-join + tiling headline: per-(cell, category) page counts.
+
+    :func:`flagship_partials` then one tree final (cell x category
+    cardinality is bounded by the grid, so one combine task beats a
+    keyed exchange).  Result is identical to
+    ``grouped_count(spatial_join(...), ["cell", "category"])`` —
+    verified by the same DuckDB oracle.
+    """
+    from ..functions.agg import combine_tree
+
+    ppath, _ = synth.ensure_polygons()
+    partials = flagship_partials(sf_dir, ray.put(pq.read_table(ppath)), grid_res)
+    return combine_tree(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
 
 
 def cell_band_math(
@@ -244,7 +251,7 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
     import numpy as np
 
     from ..functions.agg import grouped_count
-    from ..stages.knn import KnnPartialStage, knn_final_merge_all, ring_candidate_cells
+    from ..stages.knn import ring_candidate_cells
 
     qpath = synth.ensure_knn_queries()
     qt = pq.read_table(qpath)
@@ -325,7 +332,7 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
             "d2": pa_.array(np.concatenate(out_d2), type=pa_.float64()),
         })
 
-    partial = geocoded_pages(sf_dir, keep_text=False, families=("grid",)).map_batches(
+    partial = geo.map_batches(
         refine, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
     )
     return partial.repartition(1).map_batches(

@@ -1,44 +1,37 @@
-"""Checkpoint-resumable flagship: per-shard partial aggregates + final
-combine.
+"""Checkpoint-resumable flagship: per-shard partials + a driver-side combine.
 
-The expensive part of the flagship pipeline (html extract -> geocode ->
-cell assign -> PIP broadcast join) is checkpointed at input-shard
-granularity: each shard writes its *partial* (cell, category, n_pages)
-counts to ``out_dir/part=<shard>/`` with a lineage record; the final
-combine re-aggregates the partials — associative, so a resumed run is
-bit-identical to a fresh one.  (Counts pre-aggregate per shard exactly
-like the reference's single-pass stats partials merge associatively,
-``/root/reference/rios/calcstats.py:656-692``.)
+Each input shard runs the flagship's exchange-free map chain
+(:func:`pages.flagship_partials`) as one fused job and writes its
+per-block ``(cell, category, n_pages)`` partials to
+``out_dir/part=<shard>/`` with a lineage record.  The finalize folds the
+committed partials on the driver with ``combine_partials``: counts are
+associative (like the reference's single-pass stats partials,
+``/root/reference/rios/calcstats.py:656-692``), so a resumed run equals
+a fresh one and :func:`pages.flagship`.
 
 A crashed run re-executes only partitions without lineage records; the
-re-aggregate reads committed parquet, never recomputes the join.
+combine reads committed parquet, never recomputes the join.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from .. import synth
-from ..functions.agg import grouped_count
+from ..functions.agg import combine_partials
 from ..runtime import run_resumable, shard_partitions
-from ..stages.pip import pip_join_fn
-from .pages import BATCH_SIZE, geocoded_pages
+from .pages import FLAGSHIP_AGGS, FLAGSHIP_KEYS, flagship_partials
 
 
 def _build_shard_partials(sf_dir: str, polys_ref):
     def build(name: str, inputs: list[str]) -> ray.data.Dataset:
-        ds = geocoded_pages(sf_dir, keep_text=False, paths=inputs, families=("grid",))
-        joined = ds.map_batches(
-            pip_join_fn(polys_ref),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=BATCH_SIZE,
-        )
-        return grouped_count(joined, ["cell", "category"], alias="n_pages")
+        return flagship_partials(sf_dir, polys_ref, paths=inputs)
 
     return build
 
@@ -59,14 +52,13 @@ def resumable_flagship(sf_dir: str, out_dir: str) -> dict:
 
 
 def finalize_flagship(out_dir: str) -> ray.data.Dataset:
-    """Combine committed per-shard partials into the global counts."""
-    import glob
-
-    files = sorted(
-        glob.glob(os.path.join(out_dir, "part=*", "**", "*.parquet"), recursive=True)
-    )
-    ds = ray.data.read_parquet(files)
-    from ..functions.agg import grouped_sum
-
-    return grouped_sum(ds, ["cell", "category"], "n_pages", "n_pages",
-                       final_mode="tree")
+    """Combine committed per-shard partials into the global counts,
+    sorted by (cell, category), as a Dataset.  The driver reads and
+    holds every partial at once: the bound of the flagship's tree
+    final, which gathers them into one task (cell x category is
+    grid-bounded)."""
+    files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
+    partials = pa.concat_tables(pq.read_table(f) for f in files)
+    counts = combine_partials(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
+    return ray.data.from_arrow(
+        counts.sort_by([(k, "ascending") for k in FLAGSHIP_KEYS]))

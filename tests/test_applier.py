@@ -208,6 +208,21 @@ def test_knn_cellring_equals_bruteforce(ray_session):
     assert a[["qid", "url", "rank"]].equals(b[["qid", "url", "rank"]])
 
 
+def test_knn_cellring_geocodes_once(ray_session):
+    """The refine starts from the materialised geocoded projection: the
+    returned plan re-reads no pages (no Read operator)."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    from rios_ray.pipelines.pages import knn_pages_cellring
+
+    ops, stack = [], [knn_pages_cellring("/root/testdata/sf0.001", k=10)._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.input_dependencies)
+    assert not [op.name for op in ops if isinstance(op, Read)]
+
+
 def test_resample_misaligned_input(fixtures, ray_session, tmp_path):
     """A res-20 input on a reference res-10 working grid: with
     setResampleMethod('near') the applier auto-resamples and the

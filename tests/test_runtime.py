@@ -25,9 +25,21 @@ def out_dir(tmp_path):
     return str(tmp_path / "ckpt")
 
 
-def _counts(ds):
-    df = ds.to_pandas().sort_values(["cell", "category"]).reset_index(drop=True)
-    return list(zip(df["cell"], df["category"], df["n_pages"]))
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _flagship_sorted() -> pa.Table:
+    return _table(flagship(SF)).sort_by([("cell", "ascending"), ("category", "ascending")])
+
+
+def _plan_ops(ds) -> list:
+    ops, stack = [], [ds._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.input_dependencies)
+    return ops
 
 
 def test_fresh_run_commits_all_partitions(ray_session, out_dir):
@@ -45,12 +57,17 @@ def test_fresh_run_commits_all_partitions(ray_session, out_dir):
     # metrics actor saw every partition
     totals = ray.get(res["collector"].partition_totals.remote("flagship_partials"))
     assert set(totals) == set(res["ran"])
-    # finalized result == direct pipeline (bit-identical counts)
-    assert _counts(finalize_flagship(out_dir)) == _counts(flagship(SF))
+    # lineage rows are the rows in each part= file's footer
+    for name in res["ran"]:
+        path = os.path.join(out_dir, f"part={name}", "part.parquet")
+        assert manifest.read(name).rows_out == pq.read_metadata(path).num_rows
+    # finalized result == direct pipeline, sorted by (cell, category)
+    assert _table(finalize_flagship(out_dir)).equals(_flagship_sorted())
 
 
 def test_resume_skips_committed_and_redoes_missing(ray_session, out_dir):
     first = resumable_flagship(SF, out_dir)
+    fresh = _table(finalize_flagship(out_dir))
     all_parts = set(first["ran"])
     victim = sorted(all_parts)[0]
     # simulate a crash: partition output written but record never committed
@@ -63,7 +80,25 @@ def test_resume_skips_committed_and_redoes_missing(ray_session, out_dir):
     # the redone partition's metrics cover only that partition
     totals = ray.get(second["collector"].partition_totals.remote("flagship_partials"))
     assert set(totals) == {victim}
-    assert _counts(finalize_flagship(out_dir)) == _counts(flagship(SF))
+    resumed = _table(finalize_flagship(out_dir))
+    assert resumed.equals(fresh)
+    assert resumed.equals(_flagship_sorted())
+
+
+def test_shard_build_is_exchange_free(ray_session):
+    """One shard's build is a single fused map chain: its logical plan
+    holds no all-to-all operator (Repartition, Sort, Aggregate)."""
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+
+    from rios_ray import synth
+    from rios_ray.pipelines.resumable import _build_shard_partials
+
+    shard = sorted(runtime.shard_partitions(synth.ensure_pages(SF)).items())[0]
+    polys_ref = ray.put(pq.read_table(synth.ensure_polygons()[0]))
+    ds = _build_shard_partials(SF, polys_ref)(*shard)
+    ops = _plan_ops(ds)
+    assert not [op.name for op in ops if isinstance(op, AbstractAllToAll)]
+    assert sorted(ds.columns()) == ["category", "cell", "n_pages"]
 
 
 def test_manifest_atomic_commit(tmp_path):
