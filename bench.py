@@ -3,7 +3,9 @@
 the shared engine session; ONE final JSON line.  Env: GRAFT_SF_DIR
 (the sf0.1 test data), RAY_GRAFT_CPUS (32), GRAFT_BENCH_QUERIES (comma
 subset), GRAFT_BENCH_REPEATS (3).  ``--scaling``: the flagship in fresh
-processes at 1 and 4 CPUs, throughputs plus scaling efficiency."""
+processes at 1 and 4 CPUs, throughputs plus scaling efficiency.  Both
+outputs end with the 1-minute load average and the CPU steal fraction
+over the timed runs, read from /proc."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import ray.data
 
 import __ray_entry__ as entry
 from rios_ray import session, synth
+from rtbench.machine import MachineWindow
 
 # bench name (keys of every BENCH_rNN.json) -> registry name, or (name, kwargs):
 # decontaminate_100k runs ~86k probes at sf0.1, the hashed-membership path
@@ -78,7 +81,9 @@ def run_bench() -> tuple[dict, dict]:
     run("flagship")
 
     # best-of-N: one-off page faults and CPU-steal windows swing single
-    # runs up to 3x; the raws tell such noise from a real regression
+    # runs up to 3x; the raws, and the steal and load recorded beside
+    # them, tell such noise from a real regression
+    window = MachineWindow()
     raw_iters: dict[str, list[float]] = {}
     for name in [n for n in BENCH if not only or n in only.split(",")]:
         for _ in range(repeats):
@@ -88,6 +93,7 @@ def run_bench() -> tuple[dict, dict]:
             # outside the clock: drop cyclic garbage pinning object-store blocks,
             # or late entries pay spill I/O (rel_q21 7.6 s mid-suite vs 1.5 s fresh)
             gc.collect()
+    machine = window.close(num_cpus)
     ray.shutdown()
     timings = {name: min(its) for name, its in raw_iters.items()}
     # a GRAFT_BENCH_QUERIES subset without flagship reports its total
@@ -99,6 +105,7 @@ def run_bench() -> tuple[dict, dict]:
         "unit": "sec", "queries": timings, "sf": synth.sf_from_dir(sf_dir),
         "num_cpus": num_cpus, "n_pages": n_pages,
         "pages_per_sec": round(n_pages / headline, 1) if headline else None,
+        "loadavg_1m": machine["loadavg_1m"], "steal_frac": round(machine["steal_frac"], 4),
     }, raw_iters
 
 
@@ -121,15 +128,18 @@ def run_scaling() -> dict:
     # best of 3 fresh processes per leg: a measured 1->4 read 0.783 at 2
     # repeats (the 4-cpu leg had not hit its best) vs 0.861 at 3
     repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "3"))
+    window = MachineWindow()
     ncpu_lo, ncpu_hi = (int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "1,4").split(","))
     lo, hi = (min((one(n) for _ in range(repeats)), key=lambda r: r["value"])
               for n in (ncpu_lo, ncpu_hi))
     tput_lo, tput_hi = lo["pages_per_sec"], hi["pages_per_sec"]
+    machine = window.close(ncpu_hi)
     return {"metric": f"scaling efficiency ({ncpu_lo} -> {ncpu_hi} cpus, fresh processes)",
             f"pages_per_sec_{ncpu_lo}": tput_lo, f"pages_per_sec_{ncpu_hi}": tput_hi,
             f"sec_{ncpu_lo}": lo["value"], f"sec_{ncpu_hi}": hi["value"],
             "scaling_efficiency": round((tput_hi / tput_lo) / (ncpu_hi / ncpu_lo), 3),
-            "sf": lo["sf"]}
+            "sf": lo["sf"], "loadavg_1m": machine["loadavg_1m"],
+            "steal_frac": round(machine["steal_frac"], 4)}
 
 
 if __name__ == "__main__":

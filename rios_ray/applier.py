@@ -14,27 +14,30 @@ into the streaming executor):
    working grid by footprint rule (``applier.py:1226-1283`` +
    ``pixelgrid.py:415-444``), derive block decomposition
    (``applier.py:1308-1326``).  No cluster work.
-2. **Fragment (map_batches, per input)**: each tile row of each input
-   is sliced into fragments addressed to every working-grid block whose
-   margin-padded window it overlaps — the margin is satisfied by
-   *over-emitting* rows to neighbouring blocks (the keyed equivalent of
-   RIOS reading halos straight from files, ``applier.py:253-268``).
-3. **Assemble + user function (groupby(block).map_groups)**: fragments
-   of one block gather (the J1 multi-input alignment join,
-   ``structures.py:587-616``), missing regions are nodata-filled
-   (``imagereader.py:102-121``), the user function runs on dense
-   ``(bands, ys+2m, xs+2m)`` arrays, outputs are margin-trimmed
-   (``imagewriter.py:44-47``) and emitted as tile rows, each with its
-   single-pass stats partial, beside one overview tile per level (the
-   reference's single-pass manager, ``calcstats.py:400-616``).
-4. **Write (one pass)**: all outputs stream to parquet partitioned by
-   output name, overview rows under ``<name>.ovr``; per-block
-   ``other_args`` copies ride along as a side partition and are
-   returned for user-side merging (the ST5 contract,
-   ``applier.py:1182-1192``).
-5. **Close (one more job per output)**: tiles rewrite to the canonical
-   layout; stats partials and overview tiles are merged / copied on the
-   driver without re-reading the pixels.
+2. **Read plan (driver)**: from each input's metadata columns and
+   Parquet footers (:class:`TileReads`), where every tile row lives
+   (file, row group, row) and where it lands on the working grid; a
+   block's margin-padded window needs the tile rows it overlaps.  The
+   margin is satisfied by reading halos straight from the input files,
+   as RIOS does (``applier.py:253-268``, ``imagereader.py:65-121``).
+3. **Block tasks (one map job, no exchange)**: about two tasks per
+   cluster CPU, each over a contiguous row-major run of blocks.  Per
+   block a task reads the row groups it needs (cached across its
+   blocks), fills each input's ``(bands, ys+2m, xs+2m)`` array,
+   nodata-filled where no tile covers it (``imagereader.py:102-121``;
+   the J1 multi-input alignment, ``structures.py:587-616``), runs the
+   user function and margin-trims each output (``imagewriter.py:44-47``).
+4. **Write (in the task)**: each output's canonical tile rows go to
+   ``<out>/part-<task>.parquet``, one row group per row of blocks, and
+   its overview tiles to ``<out>.ovr/part-<task>.parquet``; names are
+   deterministic, so a retried task overwrites its own files.  Only the
+   side rows return to the driver: per (output, block, band) the dtype,
+   a NaN/Inf flag and the single-pass stats partial (the reference's
+   single-pass manager, ``calcstats.py:400-616``), and per block the
+   ``other_args`` copy (the ST5 contract, ``applier.py:1182-1192``).
+5. **Close (driver)**: stats partials stream into the merge one task's
+   rows at a time, and the manifest is written; nothing re-reads the
+   pixels unless hooks or close-time stats ask for them.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ from __future__ import annotations
 import copy
 import os
 import shutil
+import tempfile
 import warnings
 
 from ray import cloudpickle as pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import pyarrow.parquet as pq
 
 from .gridmodel import (
@@ -64,11 +70,11 @@ from .gridmodel import (
 )
 from .resample import TILE_SCHEMA
 from .sources.tileraster import TileRasterInfo
-from .stats import PARTIAL_SCHEMA, make_partials_fn, merge_partials, tile_partial
+from .stats import HIST_COLUMNS, PARTIAL_SCHEMA, make_partials_fn, merge_partials, tile_partial
 from .tiles import decimate_block, decimate_tile_batch, overview_levels, overview_schema
 
 OTHERARGS_NAME = "__otherargs__"
-OVERVIEW_SUFFIX = ".ovr"  # scratch partition of output X's overview rows: X.ovr
+OVERVIEW_SUFFIX = ".ovr"  # output X's overview tiles: directory X.ovr
 
 
 class ResampleNeededError(ValueError):
@@ -119,7 +125,7 @@ class ApplierControls:
     before_close_hooks: list = field(default_factory=list)  # (func, args)
     # --- extent / planning ---
     files_for_extent: list | None = None  # subset of inputs that fold the footprint
-    tempdir: str | None = None  # default out_dir / scratch parent
+    tempdir: str | None = None  # default out_dir: parent of temp tables
     # --- per-input reads ---
     input_nodata: float | None = None  # override input nullval for null-fill
     # --- output writing ---
@@ -190,7 +196,8 @@ class ApplierControls:
         self.files_for_extent = list(names)
 
     def setTempdir(self, tempdir):
-        """Default scratch/out_dir parent (reference applier.py:647)."""
+        """Default ``out_dir``, the parent of warped/rasterized input
+        tables and hooked outputs' staging (reference applier.py:647)."""
         self.tempdir = tempdir
 
     def setInputNoDataValue(self, nodata, imagename=None):
@@ -389,8 +396,9 @@ class ApplierControls:
 
     def callBeforeClose(self, func, *args):
         """Register a pre-close hook (reference ``applier.py:845-858``):
-        ``func(handle, *args)`` runs once per output just before the
-        tile raster is written, where ``handle`` is a mutable dict
+        ``func(handle, *args)`` runs once per output after the block
+        tasks wrote its tiles to a staging directory and before it
+        replaces any previous output, where ``handle`` is a mutable dict
         ``{"name", "table", "stats", "path"}`` — the analogue of the
         reference passing the still-open GDAL dataset.  Mutations to
         ``handle["stats"]`` / ``handle["table"]`` are written."""
@@ -450,42 +458,23 @@ class ApplierReturn:
     n_blocks: int
 
 
-FRAGMENT_SCHEMA = pa.schema(
-    [
-        ("block_id", pa.int64()),
-        ("name", pa.string()),
-        ("band", pa.int32()),
-        ("dst_top", pa.int32()),
-        ("dst_left", pa.int32()),
-        ("frows", pa.int32()),
-        ("fcols", pa.int32()),
-        ("payload", pa.binary()),
-    ]
-)
-
-OUT_SCHEMA = pa.schema(
+# what a block task sends back to the driver: per (output, block, band)
+# the dtype, the NaN/Inf flag (M5: checked where the block is already
+# dense, reference imagewriter.py checkForNanOrInf, warned once per file
+# at close) and the single-pass stats partial; per block a pickled
+# ``other_args`` copy in ``payload`` (name OTHERARGS_NAME)
+SIDE_SCHEMA = pa.schema(
     [
         ("name", pa.string()),
-        ("tile_y", pa.int32()),
-        ("tile_x", pa.int32()),
-        ("top", pa.int32()),
-        ("left", pa.int32()),
-        ("nrows", pa.int32()),
-        ("ncols", pa.int32()),
-        ("band", pa.int32()),
         ("dtype", pa.string()),
-        # M5: per-block NaN/Inf presence for float outputs, checked
-        # where the block is already dense (reference imagewriter.py
-        # checkForNanOrInf at write, warned once per file at close)
         ("nonfinite", pa.bool_()),
         ("payload", pa.binary()),
-        # 1: a full-resolution tile; N > 1: an overview tile of level N
-        # (name X.ovr), its position and shape in overview pixels
-        ("level", pa.int32()),
     ]
-    # the single-pass stats partial of a full-resolution tile
-    + list(PARTIAL_SCHEMA)[3:]
+    + list(PARTIAL_SCHEMA)
 )
+
+TILE_KEYS = ("tile_y", "tile_x", "top", "left", "nrows", "ncols", "band")
+OVERVIEW_KEYS = ("level", "top", "left", "nrows", "ncols", "band")
 
 
 def _block_geom(block_id: int, wg_nrows: int, wg_ncols: int, B_y: int, B_x: int):
@@ -495,79 +484,138 @@ def _block_geom(block_id: int, wg_nrows: int, wg_ncols: int, B_y: int, B_x: int)
     return top, left, min(B_y, wg_nrows - top), min(B_x, wg_ncols - left)
 
 
-def make_fragment_fn(name: str, dtype, off_y: int, off_x: int, wg_nrows: int,
-                     wg_ncols: int, B_y: int, B_x: int, margin: int,
-                     selected: list[int] | None = None):
-    """Tile rows -> margin-aware fragments addressed to working blocks."""
-    dtype = np.dtype(dtype)
-    nbx = -(-wg_ncols // B_x)
-    nby = -(-wg_nrows // B_y)
+_READ_ARRAYS = ("file", "row_group", "row", "top", "left", "nrows", "ncols", "band")
 
-    def fragment(batch: pa.Table) -> pa.Table:
-        col = batch["data"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        offsets = col.offsets.to_numpy()
-        flat = col.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
-        tops = batch["top"].to_numpy(zero_copy_only=False)
-        lefts = batch["left"].to_numpy(zero_copy_only=False)
-        nrs = batch["nrows"].to_numpy(zero_copy_only=False)
-        ncs = batch["ncols"].to_numpy(zero_copy_only=False)
-        bands = batch["band"].to_numpy(zero_copy_only=False)
-        rows = []
-        for i in range(batch.num_rows):
-            band = int(bands[i])
-            if selected is not None:
-                if band not in selected:
-                    continue
-                out_band = selected.index(band)
-            else:
-                out_band = band
-            nr, nc = int(nrs[i]), int(ncs[i])
-            arr = flat[offsets[i] : offsets[i + 1]].reshape(nr, nc)
-            wr0, wc0 = int(tops[i]) + off_y, int(lefts[i]) + off_x
-            wr1, wc1 = wr0 + nr, wc0 + nc
-            br_lo = max(0, (wr0 - margin - B_y + 1) // B_y)
-            br_hi = min(nby - 1, (wr1 - 1 + margin) // B_y)
-            bc_lo = max(0, (wc0 - margin - B_x + 1) // B_x)
-            bc_hi = min(nbx - 1, (wc1 - 1 + margin) // B_x)
-            for br in range(br_lo, br_hi + 1):
-                bt = br * B_y
-                ys = min(B_y, wg_nrows - bt)
-                r0 = max(wr0, bt - margin)
-                r1 = min(wr1, bt + ys + margin)
-                if r0 >= r1:
-                    continue
-                for bc in range(bc_lo, bc_hi + 1):
-                    bl = bc * B_x
-                    xs = min(B_x, wg_ncols - bl)
-                    c0 = max(wc0, bl - margin)
-                    c1 = min(wc1, bl + xs + margin)
-                    if c0 >= c1:
-                        continue
-                    sub = arr[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]
-                    rows.append(
-                        {
-                            "block_id": br * nbx + bc,
-                            "name": name,
-                            "band": out_band,
-                            "dst_top": r0 - (bt - margin),
-                            "dst_left": c0 - (bl - margin),
-                            "frows": r1 - r0,
-                            "fcols": c1 - c0,
-                            "payload": np.ascontiguousarray(sub).tobytes(),
-                        }
-                    )
-        return pa.Table.from_pylist(rows, schema=FRAGMENT_SCHEMA)
 
-    return fragment
+@dataclass
+class TileReads:
+    """Where one input's tile rows live and where they land: per tile
+    row its Parquet file, row group and row within the group, its
+    working-grid position and shape, and its band in the (layer-selected)
+    block array.  Built on the driver from the metadata columns and the
+    footers only; block tasks read the pixels of the rows they need."""
+
+    files: list
+    nbands: int
+    dtype: str
+    fill: float
+    file: np.ndarray
+    row_group: np.ndarray
+    row: np.ndarray
+    top: np.ndarray
+    left: np.ndarray
+    nrows: np.ndarray
+    ncols: np.ndarray
+    band: np.ndarray
+
+    @classmethod
+    def plan(cls, ti: TileRasterInfo, wg: PixelGrid, selected: list | None = None):
+        import pyarrow.dataset as pads
+
+        files = pads.dataset(ti.path, format="parquet").files
+        cols, where = [], []
+        for fi, f in enumerate(files):
+            pf = pq.ParquetFile(f)
+            cols.append(pf.read(columns=["top", "left", "nrows", "ncols", "band"]))
+            sizes = [pf.metadata.row_group(g).num_rows for g in range(pf.num_row_groups)]
+            starts = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+            where.append(np.stack([np.full(sum(sizes), fi),
+                                   np.repeat(np.arange(len(sizes)), sizes),
+                                   np.arange(sum(sizes)) - starts]))
+        t = pa.concat_tables(cols)
+        fi, rg, row = np.concatenate(where, axis=1)
+        meta = {k: t[k].to_numpy().astype(np.int64) for k in t.column_names}
+        band = meta["band"]
+        if selected:
+            lut = np.full(max(band.max(initial=0), *selected) + 1, -1)
+            lut[selected] = np.arange(len(selected))
+            band = lut[band]
+        keep = band >= 0
+        # input pixel (r, c) lands at working pixel (r + off_y, c + off_x):
+        # y = in.y_max - r*res  =>  working row = (wg.y_max - y)/res
+        off_y = int(round((wg.y_max - ti.grid.y_max) / wg.y_res))
+        off_x = int(round((ti.grid.x_min - wg.x_min) / wg.x_res))
+        return cls(
+            files, len(selected) if selected else ti.nbands, ti.dtype,
+            ti.nullval if ti.nullval is not None else 0,
+            fi[keep], rg[keep], row[keep], meta["top"][keep] + off_y,
+            meta["left"][keep] + off_x, meta["nrows"][keep], meta["ncols"][keep], band[keep],
+        )
+
+    def meeting(self, top: int, left: int, nrows: int, ncols: int, margin: int) -> np.ndarray:
+        """Indices of the tile rows that overlap the window
+        ``[top, top + nrows) x [left, left + ncols)`` padded by ``margin``."""
+        return np.flatnonzero(
+            (self.top < top + nrows + margin) & (self.top + self.nrows > top - margin)
+            & (self.left < left + ncols + margin) & (self.left + self.ncols > left - margin))
+
+    def take(self, idx: np.ndarray) -> "TileReads":
+        return replace(self, **{k: getattr(self, k)[idx] for k in _READ_ARRAYS})
+
+    def window(self, idx, top: int, left: int, ys: int, xs: int, margin: int,
+               cache: dict) -> np.ndarray:
+        """The ``(bands, ys + 2m, xs + 2m)`` padded block from tile rows
+        ``idx`` (see :meth:`meeting`), fill value where no tile covers it
+        (``imagereader.py:102-121``); row groups are read through
+        ``cache``, keyed by (file, row group)."""
+        arr = np.full((self.nbands, ys + 2 * margin, xs + 2 * margin), self.fill,
+                      dtype=np.dtype(self.dtype))
+        wr, wc = top - margin, left - margin
+        for j in idx.tolist():
+            key = (int(self.file[j]), int(self.row_group[j]))
+            if key not in cache:
+                col = pq.ParquetFile(self.files[key[0]]).read_row_group(
+                    key[1], columns=["data"])["data"].combine_chunks()
+                cache[key] = (col.offsets.to_numpy(), col.values.to_numpy(
+                    zero_copy_only=False).astype(np.dtype(self.dtype), copy=False))
+            offs, values = cache[key]
+            k, t0, l0 = int(self.row[j]), int(self.top[j]), int(self.left[j])
+            tile = values[offs[k]:offs[k + 1]].reshape(int(self.nrows[j]), int(self.ncols[j]))
+            r0, r1 = max(t0, wr), min(t0 + tile.shape[0], wr + arr.shape[1])
+            c0, c1 = max(l0, wc), min(l0 + tile.shape[1], wc + arr.shape[2])
+            arr[self.band[j], r0 - wr:r1 - wr, c0 - wc:c1 - wc] = tile[r0 - t0:r1 - t0,
+                                                                       c0 - l0:c1 - l0]
+        return arr
+
+
+class _TileWriter:
+    """One task's Parquet file of canonical tile rows (``keys`` +
+    ``data: list<T>``), written one row group per row of blocks so a
+    later reader of a block's halo reads a few groups, not the file."""
+
+    def __init__(self, path: str, keys: tuple, write_args: dict):
+        self.path, self.keys, self.write_args = path, keys, write_args
+        self.rows, self.planes, self.writer = [], [], None
+
+    def add(self, plane: np.ndarray, *key_values):
+        self.rows.append(key_values)
+        self.planes.append(plane.ravel())
+
+    def flush(self):
+        if not self.rows:
+            return
+        values = pa.array(np.concatenate(self.planes))
+        if self.writer is None:
+            self.writer = pq.ParquetWriter(self.path, pa.schema(
+                [(k, pa.int32()) for k in self.keys] + [("data", pa.list_(values.type))]),
+                **self.write_args)
+        offsets = pa.array(np.cumsum([0, *map(len, self.planes)]), pa.int32())
+        keys = np.array(self.rows, dtype=np.int32).T
+        self.writer.write_table(pa.Table.from_arrays(
+            [*map(pa.array, keys), pa.ListArray.from_arrays(offsets, values)],
+            schema=self.writer.schema), row_group_size=len(self.rows))
+        self.rows, self.planes = [], []
+
+    def close(self):
+        self.flush()
+        if self.writer is not None:
+            self.writer.close()
 
 
 class _ProgressState:
     """Block-completion counter + cancel flag shared between the driver
-    poller thread and the assemble tasks (wrapped in a zero-cpu Ray
-    actor only when a progress object is registered — no overhead
-    otherwise)."""
+    poller thread and the block tasks (wrapped in a zero-cpu Ray actor
+    only when a progress object is registered — no overhead otherwise)."""
 
     def __init__(self):
         self.done = 0
@@ -584,108 +632,96 @@ class _ProgressState:
         return self.done, self.cancel
 
 
-def make_assemble_fn(user_fn, input_meta: dict, wg: PixelGrid, B_y: int, B_x: int,
-                     margin: int, other_args=None, progress_actor=None,
-                     side: dict | None = None):
-    """groupby(block_id).map_groups body: align inputs, nodata-fill, run
-    the user function, margin-trim outputs.  ``side`` (output name ->
-    :func:`_side_plan`) asks for each output's stats partials and
-    overview tiles, emitted from the trimmed block beside its tile rows."""
-    side = side or {}
+def make_block_task(user_fn, reads: dict, wg: PixelGrid, B_y: int, B_x: int, margin: int,
+                    runs: list, writes: dict, other_args=None, progress_actor=None):
+    """map_batches body over task ids: task ``i`` runs working blocks
+    ``runs[i]:runs[i + 1]`` (row-major).  Per block it fills each
+    input's padded window from :class:`TileReads` (a row group is read
+    once and dropped after the last block that needs it), runs the user
+    function, margin-trims each output (``imagewriter.py:44-47``) and
+    writes its tile rows to ``<tiles>/part-<i>.parquet`` and its overview
+    tiles to ``<overviews>/part-<i>.parquet``.  ``writes``: output name
+    -> (tiles dir, overviews dir or None, :func:`_side_plan`, Parquet
+    writer kwargs).  Returns the :data:`SIDE_SCHEMA` rows."""
     wg_nrows, wg_ncols = wg.dimensions()
     nbx = -(-wg_ncols // B_x)
     nby = -(-wg_nrows // B_y)
 
-    def assemble(group: pa.Table) -> pa.Table:
-        if progress_actor is not None:
-            import ray
-
-            if ray.get(progress_actor.incr.remote()):
+    def run_blocks(task: int) -> list:
+        geoms = [_block_geom(b, wg_nrows, wg_ncols, B_y, B_x)
+                 for b in range(runs[task], runs[task + 1])]
+        span = geoms[-1][0] + geoms[-1][2] - geoms[0][0]
+        local = {n: r.take(r.meeting(geoms[0][0], 0, span, wg_ncols, margin))
+                 for n, r in reads.items()}
+        needs = [{n: r.meeting(*g, margin) for n, r in local.items()} for g in geoms]
+        last_use = {(n, int(f), int(g)): i for i, need in enumerate(needs)
+                    for n, idx in need.items()
+                    for f, g in zip(local[n].file[idx], local[n].row_group[idx])}
+        drop = {}  # block index -> the row groups last needed by that block
+        for (n, *key), i in last_use.items():
+            drop.setdefault(i, []).append((n, tuple(key)))
+        caches = {n: {} for n in local}
+        part = f"part-{task:05d}.parquet"
+        writers = {n: (_TileWriter(os.path.join(tiles, part), TILE_KEYS, args),
+                       ovr and _TileWriter(os.path.join(ovr, part), OVERVIEW_KEYS, args))
+                   for n, (tiles, ovr, _, args) in writes.items()}
+        files = [w for pair in writers.values() for w in pair if w]
+        rows = []
+        for i, (top, left, ys, xs) in enumerate(geoms):
+            if progress_actor is not None and ray.get(progress_actor.incr.remote()):
                 raise ApplierCancelledError("cancelled by progress object")
-        block_id = int(group["block_id"][0].as_py())
-        top, left, ys, xs = _block_geom(block_id, wg_nrows, wg_ncols, B_y, B_x)
-        block = BlockDefn(top, left, ys, xs)
-        inputs = SimpleNamespace()
-        for name, meta in input_meta.items():
-            fill = meta["nullval"] if meta["nullval"] is not None else 0
-            arr = np.full(
-                (meta["nbands"], ys + 2 * margin, xs + 2 * margin),
-                fill,
-                dtype=np.dtype(meta["dtype"]),
-            )
-            setattr(inputs, name, arr)
-        names = group["name"].to_pylist()
-        bands = group["band"].to_numpy(zero_copy_only=False)
-        d_tops = group["dst_top"].to_numpy(zero_copy_only=False)
-        d_lefts = group["dst_left"].to_numpy(zero_copy_only=False)
-        frows = group["frows"].to_numpy(zero_copy_only=False)
-        fcols = group["fcols"].to_numpy(zero_copy_only=False)
-        payloads = group["payload"]
-        for i in range(group.num_rows):
-            meta = input_meta[names[i]]
-            sub = np.frombuffer(
-                payloads[i].as_py(), dtype=np.dtype(meta["dtype"])
-            ).reshape(int(frows[i]), int(fcols[i]))
-            arr = getattr(inputs, names[i])
-            arr[
-                int(bands[i]),
-                int(d_tops[i]) : int(d_tops[i]) + int(frows[i]),
-                int(d_lefts[i]) : int(d_lefts[i]) + int(fcols[i]),
-            ] = sub
+            if i and top != geoms[i - 1][0]:  # a row of blocks is complete
+                for w in files:
+                    w.flush()
+            inputs = SimpleNamespace(**{
+                n: r.window(needs[i][n], top, left, ys, xs, margin, caches[n])
+                for n, r in local.items()})
+            for n, key in drop.get(i, ()):
+                caches[n].pop(key)
+            info = ReaderInfo(wg, BlockDefn(top, left, ys, xs), margin, nbx, nby, B_x, B_y)
+            outputs = SimpleNamespace()
+            oa = copy.deepcopy(other_args) if other_args is not None else None
+            user_fn(info, inputs, outputs, *([] if oa is None else [oa]))
+            for name, arr in vars(outputs).items():
+                if name not in writes:
+                    continue
+                arr = np.asarray(arr)
+                if arr.ndim == 2:
+                    arr = arr[None, :, :]
+                if margin:
+                    arr = arr[:, margin:-margin or None, margin:-margin or None]
+                if arr.shape[1:] != (ys, xs):
+                    raise ValueError(f"output {name!r}: block of shape {arr.shape[1:]} "
+                                     f"after the margin trim, expected {(ys, xs)}")
+                plan, (tiles, ovr) = writes[name][2], writers[name]
+                for b in range(arr.shape[0]):
+                    plane = np.ascontiguousarray(arr[b])
+                    partial = {"band": b}
+                    if plan.get("stats"):
+                        step = plan["step"]
+                        partial = tile_partial(plane[::step, ::step], *plan["stats"]).to_row(b)
+                    rows.append({
+                        "name": name, "dtype": str(arr.dtype), "top": top, "left": left,
+                        "nonfinite": bool(arr.dtype.kind in "fc" and not np.isfinite(plane).all()),
+                        **partial,
+                    })
+                    tiles.add(plane, top // B_y, left // B_x, top, left, ys, xs, b)
+                    for lvl in plan["levels"] if ovr else ():
+                        sub, dst_top, dst_left = decimate_block(plane, top, left, lvl)
+                        if sub.size:
+                            ovr.add(sub, lvl, dst_top, dst_left, *sub.shape, b)
+            if oa is not None:
+                rows.append({"name": OTHERARGS_NAME, "band": -1, "top": top, "left": left,
+                             "payload": pickle.dumps(oa)})
+        for w in files:
+            w.close()
+        return rows
 
-        info = ReaderInfo(wg, block, margin, nbx, nby, B_x, B_y)
-        outputs = SimpleNamespace()
-        oa = copy.deepcopy(other_args) if other_args is not None else None
-        if oa is not None:
-            user_fn(info, inputs, outputs, oa)
-        else:
-            user_fn(info, inputs, outputs)
+    def run(batch: pa.Table) -> pa.Table:
+        rows = [r for task in batch["task"].to_pylist() for r in run_blocks(task)]
+        return pa.Table.from_pylist(rows, schema=SIDE_SCHEMA)
 
-        out_rows = []
-
-        def emit(**row):
-            out_rows.append({
-                "tile_y": top // B_y, "tile_x": left // B_x, "top": top,
-                "left": left, "nrows": ys, "ncols": xs, "level": 1,
-                "nonfinite": False, **row,
-            })
-
-        for name, arr in vars(outputs).items():
-            arr = np.asarray(arr)
-            if arr.ndim == 2:
-                arr = arr[None, :, :]
-            if margin:
-                arr = arr[:, margin:-margin or None, margin:-margin or None]
-            plan = side.get(name, {})
-            for b in range(arr.shape[0]):
-                plane = np.ascontiguousarray(arr[b])
-                partial = {"band": b}
-                if plan.get("stats"):
-                    step = plan["step"]
-                    partial = tile_partial(plane[::step, ::step], *plan["stats"]).to_row(b)
-                emit(
-                    name=name, dtype=str(arr.dtype),
-                    nonfinite=bool(
-                        arr.dtype.kind in "fc" and not np.isfinite(plane).all()
-                    ),
-                    payload=plane.tobytes(), **partial,
-                )
-                for lvl in plan.get("levels", ()):
-                    sub, dst_top, dst_left = decimate_block(plane, top, left, lvl)
-                    if sub.size:
-                        emit(
-                            name=name + OVERVIEW_SUFFIX, band=b, dtype=str(arr.dtype),
-                            level=lvl,
-                            top=dst_top, left=dst_left, nrows=sub.shape[0],
-                            ncols=sub.shape[1],
-                            payload=np.ascontiguousarray(sub).tobytes(),
-                        )
-        if oa is not None:
-            emit(name=OTHERARGS_NAME, band=-1, dtype="object",
-                 payload=pickle.dumps(oa))
-        return pa.Table.from_pylist(out_rows, schema=OUT_SCHEMA)
-
-    return assemble
+    return run
 
 
 def _materialize_warped(ti, wg, out_dir, method, prefix, warp):
@@ -699,8 +735,6 @@ def _materialize_warped(ti, wg, out_dir, method, prefix, warp):
     is needed.  Interpolating methods (bilinear/average) stay float64,
     matching GDAL's practical promotion for fractional results.
     """
-    import tempfile
-
     import ray.data
 
     from .sources.tileraster import TileRasterInfo
@@ -711,15 +745,13 @@ def _materialize_warped(ti, wg, out_dir, method, prefix, warp):
     src_dtype = str(np.dtype(ti.dtype))
     out_dtype = src_dtype if method == "near" else "float64"
     if out_dtype != "float64":
-        import pyarrow.compute as _pc
-
         target = pa.list_(pa.from_numpy_dtype(np.dtype(out_dtype)))
 
         def cast_back(b: pa.Table) -> pa.Table:
             return b.set_column(
                 b.schema.get_field_index("data"),
                 "data",
-                _pc.cast(b["data"], target, safe=False),
+                pc.cast(b["data"], target, safe=False),
             )
 
         warped = warped.map_batches(
@@ -813,9 +845,6 @@ def _rasterize_vector(vi: VectorInput, wg, B_y: int, B_x: int, out_dir,
     task per block; the polygon index ships once via the object store).
     Honors the per-vector controls (burn value/attribute, vector null,
     filter SQL, datatype — reference applier.py:663-744)."""
-    import tempfile
-
-    import pyarrow.compute as pc
     import ray
     import ray.data
 
@@ -996,7 +1025,7 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
 
     controls = controls or ApplierControls()
     if out_dir is None:
-        out_dir = controls.tempdir  # setTempdir default scratch parent
+        out_dir = controls.tempdir  # setTempdir default
     inputs = {name: _resolve_input(spec) for name, spec in infiles.items()}
 
     # ---- plan (driver) ----
@@ -1062,38 +1091,37 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
     for name in list(inputs):
         nd = controls.getOptionForImagename("input_nodata", name)
         if nd is not None:
-            import dataclasses as _dc
-
-            inputs[name] = _dc.replace(inputs[name], nullval=nd)
-    wg_nrows, wg_ncols = wg.dimensions()
+            inputs[name] = replace(inputs[name], nullval=nd)
     m = controls.overlap
-    nbx = -(-wg_ncols // B_x)
-    nby = -(-wg_nrows // B_y)
+    wg_nrows, wg_ncols = wg.dimensions()
+    n_blocks = -(-wg_ncols // B_x) * -(-wg_nrows // B_y)
+    reads = {name: TileReads.plan(ti, wg, controls.selected_layers.get(name))
+             for name, ti in inputs.items()}
+    in_paths = {os.path.abspath(ti.path) for ti in inputs.values()}
+    for name, path in outfiles.items():
+        if os.path.abspath(path) in in_paths:
+            raise ValueError(f"output {name!r} would overwrite input {path!r}")
 
-    # ---- fragment each input ----
-    frag_ds = None
-    input_meta = {}
-    for name, ti in inputs.items():
-        selected = controls.selected_layers.get(name)
-        nbands = len(selected) if selected else ti.nbands
-        input_meta[name] = {
-            "nbands": nbands,
-            "dtype": ti.dtype,
-            "nullval": ti.nullval,
-        }
-        # input pixel (r, c) lands at working pixel (r + off_y, c + off_x):
-        # y = in.y_max - r*res  =>  working row = (wg.y_max - y)/res
-        off_y = int(round((wg.y_max - ti.grid.y_max) / wg.y_res))
-        off_x = int(round((ti.grid.x_min - wg.x_min) / wg.x_res))
-        ds = ray.data.read_parquet(ti.path)
-        f = ds.map_batches(
-            make_fragment_fn(
-                name, ti.dtype, off_y, off_x, wg_nrows, wg_ncols, B_y, B_x, m, selected
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        frag_ds = f if frag_ds is None else frag_ds.union(f)
+    # ---- where each output's block tasks write ----
+    # A callBeforeClose hook sees the output before it replaces the
+    # previous one, so hooked outputs' tiles go to a staging directory.
+    side = {name: _side_plan(name, controls, wg) for name in outfiles}
+    hooks = bool(controls.before_close_hooks)
+    writes, staged = {}, {}
+    for name, path in outfiles.items():
+        if hooks:
+            parent = out_dir or os.path.dirname(path) or "."
+            os.makedirs(parent, exist_ok=True)
+            tiles = staged[name] = tempfile.mkdtemp(prefix="_hooked_", dir=parent)
+        else:
+            _delete_if_existing(path)
+            os.makedirs(path)
+            tiles = path
+        ovr = None
+        if side[name]["levels"] and not hooks:  # hooked overviews decimate the hooked table
+            ovr = path + OVERVIEW_SUFFIX
+            os.makedirs(ovr)
+        writes[name] = (tiles, ovr, side[name], _creation_options(name, controls))
 
     # ---- progress / cancellation plumbing (only when registered) ----
     progress_actor = None
@@ -1102,17 +1130,14 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
     if controls.progress is not None:
         import threading
 
-        import ray
-
         progress_actor = ray.remote(num_cpus=0)(_ProgressState).remote()
-        n_blocks_total = nbx * nby
         prog, actor = controls.progress, progress_actor
         stop_evt = threading.Event()
 
         def _poll():
             while not stop_evt.is_set():
                 done, _ = ray.get(actor.state.remote())
-                prog.setProgress(min(100, int(100 * done / max(1, n_blocks_total))))
+                prog.setProgress(min(100, int(100 * done / max(1, n_blocks))))
                 if getattr(prog, "wasCancelled", lambda: False)():
                     ray.get(actor.set_cancelled.remote())
                     return
@@ -1121,82 +1146,57 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
         poller = threading.Thread(target=_poll, daemon=True)
         poller.start()
 
-    # ---- assemble + user fn + margin trim (+ stats partials, overviews) ----
-    side = {name: _side_plan(name, controls, wg) for name in outfiles}
-    hooks = bool(controls.before_close_hooks)  # overviews then come from the hooked table
-    out_ds = frag_ds.groupby("block_id").map_groups(
-        make_assemble_fn(user_fn, input_meta, wg, B_y, B_x, m, other_args, progress_actor,
-                         {n: {**p, "levels": []} if hooks else p for n, p in side.items()}),
-        batch_format="pyarrow",
-    )
-
-    # ---- write all outputs in one pass, partitioned by name ----
-    if out_dir is None:
-        out_dir = os.path.commonpath(list(outfiles.values())) if len(outfiles) > 1 else (
-            os.path.dirname(next(iter(outfiles.values()))) or "."
-        )
-    # unique per-run scratch: a fixed name would make a second apply()
-    # into the same out_dir read the first run's leftover fragments
-    # (write_parquet appends into an existing directory)
-    import tempfile as _tempfile
-
-    os.makedirs(out_dir, exist_ok=True)
-    scratch = _tempfile.mkdtemp(prefix="_applier_run_", dir=out_dir)
+    # ---- one map job: contiguous runs of blocks, ~2 per CPU ----
+    if not ray.is_initialized():
+        ray.init()
+    n_tasks = min(n_blocks, 2 * int(ray.cluster_resources().get("CPU", 1)))
+    runs = [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
+    job = ray.data.from_items([{"task": i} for i in range(n_tasks)],
+                              override_num_blocks=n_tasks).map_batches(
+        make_block_task(user_fn, reads, wg, B_y, B_x, m, runs, writes, other_args,
+                        progress_actor),
+        batch_format="pyarrow", batch_size=None)
     try:
-        out_ds.write_parquet(scratch, partition_cols=["name"])
-    except Exception as e:
-        # walk the full cause chain for a real ApplierCancelledError
-        # instance (Ray wraps task errors with a .cause attribute;
-        # plain exceptions chain via __cause__/__context__) — never
-        # string-match, and never swallow genuine task errors.
-        def _chain_has_cancel(err: BaseException) -> bool:
-            stack, seen = [err], 0
-            while stack and seen < 32:
-                cur = stack.pop()
-                seen += 1
-                if isinstance(cur, ApplierCancelledError):
-                    return True
-                for nxt in (
-                    getattr(cur, "cause", None),
-                    cur.__cause__,
-                    cur.__context__,
-                ):
-                    if isinstance(nxt, BaseException) and nxt is not cur:
-                        stack.append(nxt)
-            return False
+        # only the side rows come back; they stay in the object store
+        refs = [ref for bundle in job.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+        if controls.progress is not None:
+            controls.progress.setProgress(100)
 
-        cancelled = _chain_has_cancel(e)
-        if not cancelled and progress_actor is not None:
-            try:
-                cancelled = bool(ray.get(progress_actor.state.remote())[1])
-            except Exception:  # noqa: BLE001 — actor may be gone at teardown
-                pass
-        if cancelled:
+        # ---- finalize: per-output manifest + stats; other_args ----
+        meta = pa.concat_tables([ray.get(r).drop_columns(HIST_COLUMNS) for r in refs])
+        oa = meta.filter(pc.equal(meta["name"], OTHERARGS_NAME)).sort_by(
+            [("top", "ascending"), ("left", "ascending")])
+        other_args_list = [pickle.loads(b) for b in oa["payload"].to_pylist()]
+        rows = {name: meta.filter(pc.equal(meta["name"], name)) for name in outfiles}
+        for name, t in rows.items():
+            n_set = pc.sum(pc.equal(t["band"], 0)).as_py() or 0
+            if n_set < n_blocks:
+                raise ValueError(f"output {name!r} was not set by the user function "
+                                 f"in {n_blocks - n_set} of {n_blocks} blocks")
+            if len(t["dtype"].unique()) > 1:
+                raise ValueError(f"output {name!r} has blocks of different dtypes "
+                                 f"{sorted(t['dtype'].unique().to_pylist())}")
+
+        def partials(name):  # one task's rows at a time
+            for r in refs:
+                t = ray.get(r)
+                yield t.filter(pc.equal(t["name"], name))
+
+        out_infos = {name: _finalize(name, path, writes[name][0], rows[name], partials(name),
+                                     wg, controls, side[name])
+                     for name, path in outfiles.items()}
+    except Exception as e:
+        if progress_actor is not None and ray.get(progress_actor.state.remote())[1]:
             raise ApplierCancelledError("cancelled by progress object") from e
         raise
     finally:
         if stop_evt is not None:
             stop_evt.set()
             poller.join(timeout=2)
-    if controls.progress is not None:
-        controls.progress.setProgress(100)
+        for d in staged.values():
+            shutil.rmtree(d, ignore_errors=True)
 
-    # ---- finalize: per-output manifest + optional stats; other_args ----
-    other_args_list = []
-    oa_dir = os.path.join(scratch, f"name={OTHERARGS_NAME}")
-    if os.path.isdir(oa_dir):
-        t = pq.read_table(oa_dir, columns=["payload"])
-        other_args_list = [pickle.loads(b.as_py()) for b in t["payload"]]
-
-    out_infos = {}
-    try:
-        for name, path in outfiles.items():
-            out_infos[name] = _finalize(name, path, os.path.join(scratch, f"name={name}"),
-                                        wg, controls, side[name])
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
-    return ApplierReturn(wg, other_args_list, out_infos, nbx * nby)
+    return ApplierReturn(wg, other_args_list, out_infos, n_blocks)
 
 
 def _out_options(name: str, controls: ApplierControls):
@@ -1262,34 +1262,6 @@ def _stats_dict(merged_accs: dict, include_basic: bool = True,
     return stats or None
 
 
-TILE_KEYS = ("tile_y", "tile_x", "top", "left", "nrows", "ncols", "band")
-OVERVIEW_KEYS = ("level", "top", "left", "nrows", "ncols", "band")
-
-
-def make_canonical_fn(dtype, keys=TILE_KEYS):
-    """map_batches kernel: scratch rows (binary payload) -> canonical
-    tile rows (``keys`` + ``data: list<T>``), vectorized per batch."""
-    np_dtype = np.dtype(dtype)
-    pa_dtype = pa.from_numpy_dtype(np_dtype)
-
-    def canonical(b: pa.Table) -> pa.Table:
-        payloads = b["payload"]
-        if isinstance(payloads, pa.ChunkedArray):
-            payloads = payloads.combine_chunks()
-        flat = np.frombuffer(b"".join(payloads.to_pylist()), dtype=np_dtype)
-        lengths = (
-            b["nrows"].to_numpy(zero_copy_only=False).astype(np.int64)
-            * b["ncols"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        offs = np.concatenate([[0], np.cumsum(lengths)])
-        data = pa.ListArray.from_arrays(
-            pa.array(offs, type=pa.int32()), pa.array(flat, type=pa_dtype)
-        )
-        return pa.table({**{k: b[k] for k in keys}, "data": data})
-
-    return canonical
-
-
 def _delete_if_existing(path: str):
     """S10 ``deleteIfExisting`` semantics for both layouts, together
     with the output's manifest and overview sidecars."""
@@ -1300,35 +1272,31 @@ def _delete_if_existing(path: str):
             os.remove(p)
 
 
-def _finalize(name: str, path: str, part: str, wg: PixelGrid,
+def _finalize(name: str, path: str, tiles: str, rows: pa.Table, partials, wg: PixelGrid,
               controls: ApplierControls, plan: dict):
-    """Close one output from its scratch partition ``part``.
+    """Close one output whose block tasks wrote their tiles to ``tiles``
+    (``path`` itself unless hooks are registered) and sent back ``rows``
+    (:data:`SIDE_SCHEMA`, this output's) and the stream ``partials``.
 
     Without ``callBeforeClose`` hooks the raster never reaches the
-    driver: one Ray Data job rewrites the scratch tiles into a parquet
-    DIRECTORY (many files — resumable output), stats merge from the
-    partials the block tasks emitted, and the emitted overview rows
-    stream into ``path + ".ovr"``.  Hooks receive the open in-memory
-    handle (reference ``applier.py:845-858``), so the output is
-    assembled on the driver and written as one file; stats recompute
-    if a hook rewrites the table but not the stats, and overviews
-    decimate the post-hook table.  Stats that are not single-pass
+    driver: the tiles and overview tiles are already in place, and stats
+    merge from the streamed partials.  Hooks receive the open in-memory
+    handle (reference ``applier.py:845-858``), so the staged tiles are
+    read back and the hooked table is written as one file; stats
+    recompute if a hook rewrites the table but not the stats, and
+    overviews decimate the hooked table.  Stats that are not single-pass
     recompute from the written tiles (``calcstats.py``, S9/A7).
     """
-    import pyarrow.dataset as pads
     import ray.data
 
     from .sources.tileraster import write_manifest
 
     hooks = controls.before_close_hooks
     opt = lambda k: controls.getOptionForImagename(k, name)  # noqa: E731
-    skip = {"name", "hist_pos", "hist_neg"} | (set() if hooks else {"payload"})
-    t = pq.read_table(  # metadata-sized unless hooks need the pixels
-        part, columns=[f for f in OUT_SCHEMA.names if f not in skip])
-    dtype = t["dtype"][0].as_py()
-    nbands = int(pa.compute.max(t["band"]).as_py()) + 1
+    dtype = rows["dtype"][0].as_py()
+    nbands = int(pc.max(rows["band"]).as_py()) + 1
     nullval, thematic = _out_options(name, controls)
-    if pa.compute.any(t["nonfinite"]).as_py():
+    if pc.any(rows["nonfinite"]).as_py():
         # once per output (reference warnNanOrInf, imagewriter.py:331-360)
         warnings.warn(f"NaN or Inf values written to output {path!r}", RuntimeWarning)
 
@@ -1341,20 +1309,12 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
 
     partials_fn = make_partials_fn(dtype, nullval, thematic,
                                    include_hist=not opt("omit_histogram"), step=plan["step"])
-    write_args = _creation_options(name, controls)
     if hooks:
-        table = make_canonical_fn(dtype)(t)
-    else:
-        _delete_if_existing(path)
-        ray.data.read_parquet(part, columns=[*TILE_KEYS, "payload"]).map_batches(
-            make_canonical_fn(dtype), batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(path, **write_args)
+        table = pq.read_table(tiles)
 
     stats = None
-    if plan.get("stats"):  # histograms stream past, a few tiles' worth at a time
-        stats = close_stats(pads.dataset(part).to_batches(
-            columns=PARTIAL_SCHEMA.names, batch_size=8, batch_readahead=1,
-            fragment_readahead=1))
+    if plan.get("stats"):
+        stats = close_stats(partials)
     elif "stats" in plan and hooks:
         stats = close_stats([partials_fn(table)])
     elif "stats" in plan:
@@ -1362,6 +1322,7 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
             partials_fn, batch_format="pyarrow", zero_copy_batch=True
         ).iter_batches(batch_format="pyarrow", batch_size=None))
 
+    write_args = _creation_options(name, controls)
     if hooks:
         handle = {"name": name, "table": table, "stats": stats, "path": path}
         stats_before = copy.deepcopy(stats)
@@ -1376,26 +1337,16 @@ def _finalize(name: str, path: str, part: str, wg: PixelGrid,
         pq.write_table(table, path, **write_args)
 
     # overview pyramids (reference imagewriter BuildOverviews, NEAREST),
-    # written alongside the output like GDAL's .ovr, streamed so they
-    # are never held whole
+    # written alongside the output like GDAL's .ovr
     overviews = None
     if plan["levels"]:
+        overviews = {"levels": plan["levels"], "path": path + OVERVIEW_SUFFIX}
         if hooks:
-            ovr_tables = (decimate_tile_batch(table, lvl, dtype) for lvl in plan["levels"])
-        elif os.path.isdir(part + OVERVIEW_SUFFIX):
-            ovr_tables = (
-                make_canonical_fn(dtype, OVERVIEW_KEYS)(pa.Table.from_batches([b]))
-                for b in pads.dataset(part + OVERVIEW_SUFFIX).to_batches(
-                    columns=[*OVERVIEW_KEYS, "payload"], batch_size=256)
-            )
-        else:  # no block held a sample of any level
-            ovr_tables = ()
-        overviews = {"levels": plan["levels"], "path": path + ".ovr"}
-        os.makedirs(overviews["path"])
-        with pq.ParquetWriter(os.path.join(overviews["path"], "overviews.parquet"),
-                              overview_schema(dtype), **write_args) as w:
-            for ovr in ovr_tables:
-                w.write_table(ovr)
+            os.makedirs(overviews["path"])
+            with pq.ParquetWriter(os.path.join(overviews["path"], "overviews.parquet"),
+                                  overview_schema(dtype), **write_args) as w:
+                for lvl in plan["levels"]:
+                    w.write_table(decimate_tile_batch(table, lvl, dtype))
 
     ct_type = opt("auto_color_table_type")
     if ct_type is not None and thematic:

@@ -112,9 +112,14 @@ def write_tile_raster(
 ) -> TileRasterInfo:
     """Write tile rows + manifest (the ``openOutfile``/``closeOutfiles``
     analogue — reference ``imagewriter.py:69-120, 123-193``; stats land
-    in the sidecar like GDAL metadata items)."""
+    in the sidecar like GDAL metadata items).  Each run of rows sharing a
+    ``top`` (a row of tiles, in the usual row-major order) is one row
+    group, so a reader of one block's halo reads a few row groups."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    pq.write_table(table, path)
+    cuts = [0, *(np.flatnonzero(np.diff(table["top"].to_numpy())) + 1), table.num_rows]
+    with pq.ParquetWriter(path, table.schema) as w:
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            w.write_table(table.slice(a, b - a))
     return write_manifest(
         path, grid, nbands, dtype, nullval, thematic, layer_names, stats
     )

@@ -17,7 +17,9 @@ Ray shape: each (tile, band) produces ONE partial row, inside the task
 that already holds its pixels (the applier's block task, or
 ``map_batches`` over a tile table); the driver folds the scalar
 partials in a fixed order and adds the histograms as they stream past,
-holding one histogram per band — never the pixels.
+holding one histogram per band — never the pixels.  A partial carries
+only its histogram's non-zero bins, so a tile of a few distinct values
+in a wide range ships a few pairs, not a bincount from 0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _UNSIGNED = {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32), np.dtype(np.uint64)}
 _ABS_NEG_DTYPE = {
@@ -202,9 +205,18 @@ class StatsAccumulator:
             "count": self.count,
             "minval": None if self.minval is None else float(self.minval),
             "maxval": None if self.maxval is None else float(self.maxval),
-            "hist_pos": None if self.hist_pos is None else self.hist_pos.astype(np.int64),
-            "hist_neg": None if self.hist_neg is None else self.hist_neg.astype(np.int64),
+            **_sparse("hist_pos", self.hist_pos),
+            **_sparse("hist_neg", self.hist_neg),
         }
+
+
+def _sparse(key: str, hist: np.ndarray | None) -> dict:
+    """A histogram's non-zero bins: ``key + "_bins"`` holds their bin
+    numbers, ``key`` their counts (both None for no histogram)."""
+    if hist is None:
+        return {key + "_bins": None, key: None}
+    bins = np.flatnonzero(hist)
+    return {key + "_bins": bins.astype(np.int64), key: hist[bins].astype(np.int64)}
 
 
 def tile_partial(arr: np.ndarray, nullval=None, thematic=False,
@@ -303,10 +315,14 @@ PARTIAL_SCHEMA = pa.schema(
         ("count", pa.int64()),
         ("minval", pa.float64()),
         ("maxval", pa.float64()),
+        # each histogram as its non-zero bins: bin numbers, then counts
+        ("hist_pos_bins", pa.list_(pa.int64())),
         ("hist_pos", pa.list_(pa.int64())),
+        ("hist_neg_bins", pa.list_(pa.int64())),
         ("hist_neg", pa.list_(pa.int64())),
     ]
 )
+HIST_COLUMNS = PARTIAL_SCHEMA.names[-4:]
 
 
 def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True, step=1):
@@ -338,23 +354,30 @@ def make_partials_fn(dtype, nullval=None, thematic=False, include_hist=True, ste
 def merge_partials(tables, nullval=None, thematic=False, dtype=None):
     """Driver-side final reduce over an iterable of tables (or record
     batches) holding the :data:`PARTIAL_SCHEMA` columns: dict band ->
-    merged StatsAccumulator.  The integer histograms add up table by
-    table as they stream past, so only one table's histograms are held
-    at once; the scalar columns (one row per (tile, band)) fold in
-    (band, top, left) order, so the float sums do not depend on the
-    order Ray returned them in."""
+    merged StatsAccumulator.  The sparse histograms scatter-add into one
+    dense histogram per band as the tables stream past, so only one
+    table's partials are held at once; the scalar columns (one row per
+    (tile, band)) fold in (band, top, left) order, so the float sums do
+    not depend on the order Ray returned them in."""
     rows, hists = [], {}
     for x in tables:
-        rows += zip(*(x[k].to_pylist() for k in PARTIAL_SCHEMA.names[:-2]))
+        rows += zip(*(x[k].to_pylist() for k in PARTIAL_SCHEMA.names[:-4]))
         bands = x["band"].to_numpy(zero_copy_only=False)
         for k in ("hist_pos", "hist_neg"):
-            col, i = x[k], 0
-            for c in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
-                offs, vals = c.offsets.to_numpy(), c.values.to_numpy()
-                for j in np.flatnonzero(~c.is_null().to_numpy(zero_copy_only=False)):
-                    h, key = vals[offs[j] : offs[j + 1]], (int(bands[i + j]), k)
-                    hists[key] = add_two_histograms(hists[key], h) if key in hists else h.copy()
-                i += len(c)
+            col = x[k]
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            bins = pc.list_flatten(x[k + "_bins"]).to_numpy(zero_copy_only=False)
+            counts = pc.list_flatten(col).to_numpy(zero_copy_only=False)
+            owner = bands[pc.list_parent_indices(col).to_numpy(zero_copy_only=False)]
+            for b in np.unique(owner).tolist():
+                sel = owner == b
+                idx = bins[sel]
+                h = hists.get((b, k), np.zeros(0, np.int64))
+                if idx.max() >= len(h):
+                    h = np.concatenate([h, np.zeros(idx.max() + 1 - len(h), np.int64)])
+                np.add.at(h, idx, counts[sel])
+                hists[(b, k)] = h
     out: dict[int, StatsAccumulator] = {}
     for b, _, _, *scalars in sorted(rows, key=lambda r: r[:3]):
         acc = StatsAccumulator(nullval, thematic, dtype)

@@ -53,6 +53,13 @@ def fixtures(tmp_path_factory, ray_session):
     out["rowcol2"] = write_tile_raster(
         str(root / "rowcol2.parquet"), synth.raster_to_tile_table(rc), _grid(), 2, np.uint16
     )
+    odd = np.random.default_rng(7).integers(0, 30000, (1, 333, 517), dtype=np.uint16)
+    out["odd"] = write_tile_raster(
+        str(root / "odd.parquet"), synth.raster_to_tile_table(odd, block=128),
+        PixelGrid(500000.0, 505170.0, 6996670.0, 7000000.0, 10.0, 10.0, "EPSG:28355"),
+        1, np.uint16,
+    )
+    out["odd_arr"] = odd
     out["root"] = root
     out["ramp_arr"] = ramp
     out["rc_arr"] = rc
@@ -81,36 +88,66 @@ def test_avg_of_two_ramps(fixtures, tmp_path):
     assert rtn.n_blocks == 4
 
 
-def test_overlap_max_filter_zero_mismatch(fixtures, tmp_path):
-    """5x5 max filter via overlap=2 halos == whole-image sliding max."""
+def _padded_max(arr: np.ndarray, m: int = 2) -> np.ndarray:
+    """Whole-image (2m+1)^2 max per band, zero outside the image."""
+    nb, nr, nc = arr.shape
+    padded = np.zeros((nb, nr + 2 * m, nc + 2 * m), dtype=arr.dtype)
+    padded[:, m:nr + m, m:nc + m] = arr
+    k = 2 * m + 1
+    return np.maximum.reduce([padded[:, dy:dy + nr, dx:dx + nc]
+                              for dy in range(k) for dx in range(k)])
 
-    def max_fn(info, inputs, outputs):
-        a = inputs.img[0]
-        stack = [
-            a[dy : a.shape[0] - 4 + dy, dx : a.shape[1] - 4 + dx]
-            for dy in range(5)
-            for dx in range(5)
-        ]
-        # block padded with margin 2 on all sides: result has the block's
-        # true size + margin trimmed by the applier afterwards — emit at
-        # padded size by re-padding the filtered interior
-        filt = np.maximum.reduce(stack)
-        out = np.zeros_like(a)
-        out[2:-2, 2:-2] = filt
-        outputs.filtered = out[None, :, :]
 
+def _max_case(fixtures, case):
+    """(inputs, controls, numpy sum of the inputs on the working grid)."""
     controls = ApplierControls()
     controls.setOverlap(2)
-    out = str(tmp_path / "maxfilt.parquet")
-    apply(max_fn, {"img": fixtures["ramp"]}, {"filtered": out}, controls=controls)
-    got = _read_back(out)[0]
+    ramp = fixtures["ramp_arr"][None].astype(np.float64)
+    if case == "ramp":
+        return {"a": fixtures["ramp"]}, controls, ramp
+    if case == "window-100x70":
+        controls.setWindowSize(100, 70)
+        return {"a": fixtures["ramp"]}, controls, ramp
+    if case == "odd-dims":
+        controls.setWindowSize(100, 70)
+        return {"a": fixtures["odd"]}, controls, fixtures["odd_arr"].astype(np.float64)
+    if case == "union-offsets":
+        controls.setFootprintType(UNION)
+        want = np.zeros((1, 600, 600))
+        want[:, :500, :500] += ramp
+        want[:, 100:, 100:] += ramp
+        return {"a": fixtures["ramp"], "b": fixtures["ramp_shift"]}, controls, want
+    controls.selectInputImageLayers([2], "a")  # layer-selection
+    return {"a": fixtures["rowcol2"]}, controls, fixtures["rc_arr"][1:].astype(np.float64)
 
-    ramp = fixtures["ramp_arr"]
-    padded = np.zeros((504, 504), dtype=ramp.dtype)
-    padded[2:-2, 2:-2] = ramp
-    stack = [padded[dy : 500 + dy, dx : 500 + dx] for dy in range(5) for dx in range(5)]
-    want = np.maximum.reduce(stack)
-    assert (got != want).sum() == 0
+
+@pytest.mark.parametrize("case", ["ramp", "window-100x70", "odd-dims", "union-offsets",
+                                  "layer-selection"])
+def test_overlap_max_filter_zero_mismatch(fixtures, tmp_path, case):
+    """5x5 max filter via overlap=2 halos == whole-image sliding max, into
+    a uint16 and a float32 output of the same apply: windows that do not
+    divide the 256-px input tiles, odd raster dimensions, a two-input
+    union footprint with offsets, and a layer selection."""
+
+    def max_fn(info, inputs, outputs):
+        a = sum(getattr(inputs, n).astype(np.float64) for n in sorted(vars(inputs)))
+        ny, nx = a.shape[1] - 4, a.shape[2] - 4
+        # the filtered interior re-padded to the margin, which the applier trims
+        out = np.zeros_like(a)
+        out[:, 2:-2, 2:-2] = np.maximum.reduce(
+            [a[:, dy:dy + ny, dx:dx + nx] for dy in range(5) for dx in range(5)])
+        outputs.filtered = out.astype(np.uint16)
+        outputs.scaled = (out * 0.5).astype(np.float32)
+
+    infiles, controls, total = _max_case(fixtures, case)
+    out = {k: str(tmp_path / f"{k}.parquet") for k in ("filtered", "scaled")}
+    rtn = apply(max_fn, infiles, out, controls=controls, out_dir=str(tmp_path))
+    want = _padded_max(total)
+    assert rtn.working_grid.dimensions() == want.shape[1:]
+    got = _read_back(out["filtered"])
+    assert got.dtype == np.uint16 and (got != want.astype(np.uint16)).sum() == 0
+    got = _read_back(out["scaled"])
+    assert got.dtype == np.float32 and (got != (want * 0.5).astype(np.float32)).sum() == 0
 
 
 def test_footprint_intersection_and_union(fixtures, tmp_path):
@@ -628,33 +665,89 @@ def test_single_pass_stats_match_close_time_recompute(fixtures, tmp_path):
             assert v == pytest.approx(recomputed[b][k], rel=1e-12), (b, k)
 
 
-def test_single_pass_apply_runs_two_jobs(fixtures, tmp_path, monkeypatch):
-    """A single-output apply with stats and pyramids runs at most two
-    Ray Data jobs (block tasks -> scratch, scratch -> output): stats and
-    overviews come out of the block tasks, not from re-reads at close."""
+def test_single_output_apply_runs_one_job(fixtures, tmp_path, monkeypatch):
+    """A single-output apply with stats and pyramids runs exactly one Ray
+    Data job, with no all-to-all exchange: the block tasks read their own
+    halos, write the tiles and overview tiles, and send back only the
+    stats partials.  Each task file holds one row group per row of blocks."""
     import json
     import os
 
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.operators.input_data_buffer import InputDataBuffer
+    from ray.data._internal.execution.operators.map_operator import MapOperator
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     jobs = []
     execute = StreamingExecutor.execute
 
-    def counting(self, *args, **kwargs):
-        jobs.append(1)
-        return execute(self, *args, **kwargs)
+    def counting(self, dag, *args, **kwargs):
+        ops, stack = [], [dag]
+        while stack:
+            ops.append(stack.pop())
+            stack.extend(ops[-1].input_dependencies)
+        jobs.append(ops)
+        return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
 
     def ident(info, inputs, outputs):
         outputs.out = inputs.img
 
+    controls = ApplierControls()
+    controls.setWindowSize(100, 100)  # 25 blocks: task runs cross rows of blocks
     out = str(tmp_path / "jobs.parquet")
-    apply(ident, {"img": fixtures["ramp"]}, {"out": out}, out_dir=str(tmp_path))
-    assert len(jobs) <= 2
+    apply(ident, {"img": fixtures["ramp"]}, {"out": out}, controls=controls,
+          out_dir=str(tmp_path))
+    assert len(jobs) == 1
+    assert all(isinstance(op, (InputDataBuffer, MapOperator)) for op in jobs[0])
     manifest = json.load(open(os.path.join(out, "_grid.json")))
     assert manifest["stats"]["0"]["count"] == 250000
     assert manifest["overviews"]["levels"] == [4, 8]
+    parts = [pq.ParquetFile(os.path.join(out, f)) for f in os.listdir(out)
+             if f.endswith(".parquet")]
+    assert max(pf.num_row_groups for pf in parts) > 1
+    for pf in parts:
+        for g in range(pf.num_row_groups):
+            assert len(set(pf.read_row_group(g, columns=["top"])["top"].to_pylist())) == 1
+
+
+def test_unset_output_fails_loud(fixtures, tmp_path):
+    """An output the user function never sets is named in a ValueError."""
+    def only_a(info, inputs, outputs):
+        outputs.a = inputs.img
+
+    with pytest.raises(ValueError, match="output 'b' was not set"):
+        apply(only_a, {"img": fixtures["ramp"]},
+              {"a": str(tmp_path / "a.parquet"), "b": str(tmp_path / "b.parquet")},
+              out_dir=str(tmp_path))
+
+
+def test_block_reads_stay_within_the_halo(tmp_path):
+    """Planner: on a 4x4-block input with one row group per row of tiles,
+    a block's margin-padded window needs at most 3 row groups (its own
+    row of tiles and the two beside it), and the window it assembles
+    equals the zero-padded numpy slice."""
+    import pyarrow.parquet as pq
+
+    from rios_ray.applier import TileReads
+
+    a = np.arange(64 * 64, dtype=np.uint16).reshape(64, 64)
+    grid = PixelGrid(0.0, 64.0, 0.0, 64.0, 1.0, 1.0, "EPSG:28355")
+    ti = write_tile_raster(str(tmp_path / "in.parquet"),
+                           synth.raster_to_tile_table(a, block=16), grid, 1, np.uint16)
+    assert pq.ParquetFile(ti.path).num_row_groups == 4
+    reads = TileReads.plan(ti, grid)
+    padded = np.zeros((68, 68), np.uint16)
+    padded[2:-2, 2:-2] = a
+    n_groups = []
+    for top in range(0, 64, 16):
+        for left in range(0, 64, 16):
+            idx = reads.meeting(top, left, 16, 16, 2)
+            n_groups.append(len(set(zip(reads.file[idx], reads.row_group[idx]))))
+            np.testing.assert_array_equal(reads.window(idx, top, left, 16, 16, 2, {})[0],
+                                          padded[top:top + 20, left:left + 20])
+    assert max(n_groups) == 3 and min(n_groups) == 2
 
 
 def test_close_streams_wide_range_histograms(fixtures, tmp_path, monkeypatch):
