@@ -1064,99 +1064,103 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
             "no input shares the reference projection; set a reference pixgrid"
         )
     B_y, B_x = controls.window_ysize, controls.window_xsize
-    # rasterize vector inputs onto the working grid (reference S6)
-    for name in vector_names:
-        inputs[name] = _rasterize_vector(inputs[name], wg, B_y, B_x, out_dir,
-                                         controls=controls, name=name)
-    # on-the-fly resample / reproject of misaligned inputs (reference
-    # warp-VRT path)
-    for name in list(inputs):
-        ti = inputs[name]
-        method = controls.resample_method
-        if ti.grid.projection != wg.projection:
-            if method is None:
-                raise ResampleNeededError(
-                    f"input {name!r} is in {ti.grid.projection}, working grid "
-                    f"is {wg.projection}; call controls.setResampleMethod()"
-                )
-            inputs[name] = _reproject_input(ti, wg, out_dir, method)
-        elif not wg.aligned_with(ti.grid):
-            if method is None:
-                raise ResampleNeededError(
-                    f"input {name!r} not aligned with working grid; "
-                    "call controls.setResampleMethod()"
-                )
-            inputs[name] = _resample_input(ti, wg, out_dir, method)
-    # per-input nodata override for null-fill (setInputNoDataValue)
-    for name in list(inputs):
-        nd = controls.getOptionForImagename("input_nodata", name)
-        if nd is not None:
-            inputs[name] = replace(inputs[name], nullval=nd)
-    m = controls.overlap
-    wg_nrows, wg_ncols = wg.dimensions()
-    n_blocks = -(-wg_ncols // B_x) * -(-wg_nrows // B_y)
-    reads = {name: TileReads.plan(ti, wg, controls.selected_layers.get(name))
-             for name, ti in inputs.items()}
-    in_paths = {os.path.abspath(ti.path) for ti in inputs.values()}
-    for name, path in outfiles.items():
-        if os.path.abspath(path) in in_paths:
-            raise ValueError(f"output {name!r} would overwrite input {path!r}")
-
-    # ---- where each output's block tasks write ----
-    # A callBeforeClose hook sees the output before it replaces the
-    # previous one, so hooked outputs' tiles go to a staging directory.
-    side = {name: _side_plan(name, controls, wg) for name in outfiles}
-    hooks = bool(controls.before_close_hooks)
-    writes, staged = {}, {}
-    for name, path in outfiles.items():
-        if hooks:
-            parent = out_dir or os.path.dirname(path) or "."
-            os.makedirs(parent, exist_ok=True)
-            tiles = staged[name] = tempfile.mkdtemp(prefix="_hooked_", dir=parent)
-        else:
-            _delete_if_existing(path)
-            os.makedirs(path)
-            tiles = path
-        ovr = None
-        if side[name]["levels"] and not hooks:  # hooked overviews decimate the hooked table
-            ovr = path + OVERVIEW_SUFFIX
-            os.makedirs(ovr)
-        writes[name] = (tiles, ovr, side[name], _creation_options(name, controls))
-
-    # ---- progress / cancellation plumbing (only when registered) ----
-    progress_actor = None
-    poller = None
-    stop_evt = None
-    if controls.progress is not None:
-        import threading
-
-        progress_actor = ray.remote(num_cpus=0)(_ProgressState).remote()
-        prog, actor = controls.progress, progress_actor
-        stop_evt = threading.Event()
-
-        def _poll():
-            while not stop_evt.is_set():
-                done, _ = ray.get(actor.state.remote())
-                prog.setProgress(min(100, int(100 * done / max(1, n_blocks))))
-                if getattr(prog, "wasCancelled", lambda: False)():
-                    ray.get(actor.set_cancelled.remote())
-                    return
-                stop_evt.wait(0.2)
-
-        poller = threading.Thread(target=_poll, daemon=True)
-        poller.start()
-
-    # ---- one map job: contiguous runs of blocks, ~2 per CPU ----
-    if not ray.is_initialized():
-        ray.init()
-    n_tasks = min(n_blocks, 2 * int(ray.cluster_resources().get("CPU", 1)))
-    runs = [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
-    job = ray.data.from_items([{"task": i} for i in range(n_tasks)],
-                              override_num_blocks=n_tasks).map_batches(
-        make_block_task(user_fn, reads, wg, B_y, B_x, m, runs, writes, other_args,
-                        progress_actor),
-        batch_format="pyarrow", batch_size=None)
+    # tile tables this call materializes (warped and rasterized inputs,
+    # hooked outputs' staging) are removed on success and on failure
+    temps, staged = [], {}
+    progress_actor = poller = stop_evt = None
     try:
+        # rasterize vector inputs onto the working grid (reference S6)
+        for name in vector_names:
+            inputs[name] = _rasterize_vector(inputs[name], wg, B_y, B_x, out_dir,
+                                             controls=controls, name=name)
+            temps.append(inputs[name].path)
+        # on-the-fly resample / reproject of misaligned inputs (reference
+        # warp-VRT path)
+        for name in list(inputs):
+            ti = inputs[name]
+            method = controls.resample_method
+            if ti.grid.projection != wg.projection:
+                if method is None:
+                    raise ResampleNeededError(
+                        f"input {name!r} is in {ti.grid.projection}, working grid "
+                        f"is {wg.projection}; call controls.setResampleMethod()"
+                    )
+                inputs[name] = _reproject_input(ti, wg, out_dir, method)
+                temps.append(inputs[name].path)
+            elif not wg.aligned_with(ti.grid):
+                if method is None:
+                    raise ResampleNeededError(
+                        f"input {name!r} not aligned with working grid; "
+                        "call controls.setResampleMethod()"
+                    )
+                inputs[name] = _resample_input(ti, wg, out_dir, method)
+                temps.append(inputs[name].path)
+        # per-input nodata override for null-fill (setInputNoDataValue)
+        for name in list(inputs):
+            nd = controls.getOptionForImagename("input_nodata", name)
+            if nd is not None:
+                inputs[name] = replace(inputs[name], nullval=nd)
+        m = controls.overlap
+        wg_nrows, wg_ncols = wg.dimensions()
+        n_blocks = -(-wg_ncols // B_x) * -(-wg_nrows // B_y)
+        reads = {name: TileReads.plan(ti, wg, controls.selected_layers.get(name))
+                 for name, ti in inputs.items()}
+        in_paths = {os.path.abspath(ti.path) for ti in inputs.values()}
+        for name, path in outfiles.items():
+            if os.path.abspath(path) in in_paths:
+                raise ValueError(f"output {name!r} would overwrite input {path!r}")
+
+        # ---- where each output's block tasks write ----
+        # A callBeforeClose hook sees the output before it replaces the
+        # previous one, so hooked outputs' tiles go to a staging directory.
+        side = {name: _side_plan(name, controls, wg) for name in outfiles}
+        hooks = bool(controls.before_close_hooks)
+        writes = {}
+        for name, path in outfiles.items():
+            if hooks:
+                parent = out_dir or os.path.dirname(path) or "."
+                os.makedirs(parent, exist_ok=True)
+                tiles = staged[name] = tempfile.mkdtemp(prefix="_hooked_", dir=parent)
+            else:
+                _delete_if_existing(path)
+                os.makedirs(path)
+                tiles = path
+            ovr = None
+            if side[name]["levels"] and not hooks:  # hooked overviews decimate the hooked table
+                ovr = path + OVERVIEW_SUFFIX
+                os.makedirs(ovr)
+            writes[name] = (tiles, ovr, side[name], _creation_options(name, controls))
+
+        # ---- progress / cancellation plumbing (only when registered) ----
+        if controls.progress is not None:
+            import threading
+
+            progress_actor = ray.remote(num_cpus=0)(_ProgressState).remote()
+            prog, actor = controls.progress, progress_actor
+            stop_evt = threading.Event()
+
+            def _poll():
+                while not stop_evt.is_set():
+                    done, _ = ray.get(actor.state.remote())
+                    prog.setProgress(min(100, int(100 * done / max(1, n_blocks))))
+                    if getattr(prog, "wasCancelled", lambda: False)():
+                        ray.get(actor.set_cancelled.remote())
+                        return
+                    stop_evt.wait(0.2)
+
+            poller = threading.Thread(target=_poll, daemon=True)
+            poller.start()
+
+        # ---- one map job: contiguous runs of blocks, ~2 per CPU ----
+        if not ray.is_initialized():
+            ray.init()
+        n_tasks = min(n_blocks, 2 * int(ray.cluster_resources().get("CPU", 1)))
+        runs = [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
+        job = ray.data.from_items([{"task": i} for i in range(n_tasks)],
+                                  override_num_blocks=n_tasks).map_batches(
+            make_block_task(user_fn, reads, wg, B_y, B_x, m, runs, writes, other_args,
+                            progress_actor),
+            batch_format="pyarrow", batch_size=None)
         # only the side rows come back; they stay in the object store
         refs = [ref for bundle in job.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
         if controls.progress is not None:
@@ -1193,7 +1197,7 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
         if stop_evt is not None:
             stop_evt.set()
             poller.join(timeout=2)
-        for d in staged.values():
+        for d in [*temps, *staged.values()]:
             shutil.rmtree(d, ignore_errors=True)
 
     return ApplierReturn(wg, other_args_list, out_infos, n_blocks)

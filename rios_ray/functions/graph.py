@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from .agg import hash_partitioned_groups
-from .join import partitioned_lookup_join
+from .join import fits_broadcast, partitioned_lookup_join
 
 
 def _min_label_merge(tbl: pa.Table) -> pa.Table:
@@ -96,7 +96,6 @@ def connected_components(
     col_b: str = "doc_b",
     num_partitions: int | None = None,
     max_iters: int = 64,
-    local_cap: int = 5_000_000,
 ):
     """Label every node of the (int64-keyed) pair graph with the min
     node id of its connected component.
@@ -104,14 +103,14 @@ def connected_components(
     Returns a Dataset (node, cluster_id); a node whose id equals its
     cluster_id is the component's canonical representative.
 
-    Strategy selection by edge count (the q18 broadcast-cap pattern):
-    a fuzzy-dedup pair graph is orders of magnitude smaller than the
-    corpus, so up to ``local_cap`` (bidirectional) edges the solve runs
-    as ONE vectorized task — each distributed propagation round costs
-    two keyed exchanges of fixed overhead, which dominates wall time at
-    realistic pair counts (measured: 24 s -> ~9 s for the full minhash
-    + clustering pipeline at sf0.1).  Past the cap it falls back to
-    per-round distributed min-label propagation.
+    Strategy selection by the bidirectional edge table's size: a
+    fuzzy-dedup pair graph is orders of magnitude smaller than the
+    corpus, so while it :func:`~rios_ray.functions.join.fits_broadcast`
+    the solve runs as ONE vectorized task — each distributed
+    propagation round costs two keyed exchanges of fixed overhead,
+    which dominates wall time at realistic pair counts (measured: 24 s
+    -> ~9 s for the full minhash + clustering pipeline at sf0.1).  A
+    larger graph takes per-round distributed min-label propagation.
     """
     import ray.data  # noqa: F401 — edges is a Dataset
 
@@ -126,7 +125,7 @@ def connected_components(
         bidir, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    if edges_bd.count() <= local_cap:
+    if fits_broadcast(edges_bd):
         return edges_bd.repartition(1).map_batches(
             lambda t: _local_components(t, max_iters),
             batch_format="pyarrow", batch_size=None,

@@ -26,6 +26,32 @@ from .agg import hash_partitioned_groups
 
 JOIN_BATCH = 65536
 
+# The one broadcast-or-partition threshold: a side smaller than this
+# many in-memory bytes is collected on the driver and shipped to every
+# worker with ``ray.put``; anything larger is joined by exchange.  A
+# worker heap limits bytes, not rows, so the cap is in bytes.
+BROADCAST_CAP_BYTES = 256 << 20
+
+
+def fits_broadcast(side) -> bool:
+    """Whether ``side`` is small enough to broadcast: a MATERIALIZED
+    Dataset (its block metadata's ``size_bytes()``, no job runs) or an
+    array already on the driver (its ``nbytes``).  A zero-block Dataset,
+    whose size Ray can report as None, counts as 0 bytes."""
+    nbytes = side.nbytes if isinstance(side, np.ndarray) else side.size_bytes()
+    return (nbytes or 0) < BROADCAST_CAP_BYTES
+
+
+def sorted_lookup(sorted_keys: np.ndarray, probe: np.ndarray):
+    """(positions, found) for ``probe`` against a sorted key array: the
+    broadcast side's membership test (clamped searchsorted + equality
+    check, no per-row Python).  ``positions`` is only meaningful where
+    ``found``."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(probe), np.int64), np.zeros(len(probe), bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == probe
+
 
 def partitioned_lookup_join(
     left,
@@ -98,10 +124,7 @@ def partitioned_lookup_join(
         rkeys = keys[ridx]
         rorder = np.argsort(rkeys)
         rsorted = rkeys[rorder]
-        lkeys = keys[lidx]
-        pos = np.searchsorted(rsorted, lkeys)
-        pos_c = np.minimum(pos, len(rsorted) - 1)
-        hit = rsorted[pos_c] == lkeys
+        pos_c, hit = sorted_lookup(rsorted, keys[lidx])
         lkeep = lidx[hit]
         if len(lkeep) == 0:
             return empty()
@@ -175,13 +198,7 @@ def partitioned_exists_join(
         lidx = np.flatnonzero(side == 1)
         if len(lidx) == 0:
             return empty()
-        if len(ridx) == 0:
-            hit = np.zeros(len(lidx), dtype=bool)
-        else:
-            rsorted = np.unique(keys[ridx])
-            lkeys = keys[lidx]
-            pos = np.minimum(np.searchsorted(rsorted, lkeys), len(rsorted) - 1)
-            hit = rsorted[pos] == lkeys
+        _, hit = sorted_lookup(np.unique(keys[ridx]), keys[lidx])
         lkeep = lidx[~hit] if anti else lidx[hit]
         if len(lkeep) == 0:
             return empty()
@@ -198,75 +215,53 @@ def auto_lookup_join(
     left_cols: list[tuple[str, pa.DataType]],
     attach_cols: list[tuple[str, pa.DataType, str]],
     num_partitions: int | None = None,
-    broadcast_cap_rows: int = 2_000_000,
 ):
-    """Strategy-selecting lookup join — the q18 broadcast-cap pattern
-    generalized: when the (uniquely-keyed) right side fits the cap it
-    is collected once, sorted, shipped via ``ray.put`` and joined
-    MAP-SIDE with a vectorized ``searchsorted`` — zero shuffle, the
-    left stream never moves.  Past the cap it falls back to the
+    """Strategy-selecting lookup join: when the (uniquely-keyed) right
+    side :func:`fits_broadcast` it is collected once, sorted, shipped
+    via ``ray.put`` and joined MAP-SIDE with :func:`sorted_lookup`:
+    zero shuffle, the left stream never moves.  Otherwise it is the
     partitioned union exchange with identical inner-join semantics.
+    With ``attach_cols=[]`` either plan is a semi-join filter.
 
-    The cap bounds driver + per-worker memory (rows x row width), not
-    correctness; both paths are equality-tested.
+    The cap bounds driver + per-worker memory, not correctness; both
+    paths are equality-tested.
     """
     import ray
 
-    right_mat = right.materialize() if hasattr(right, "materialize") else right
-    if right_mat.count() > broadcast_cap_rows:
+    right_mat = right.materialize()
+    if not fits_broadcast(right_mat):
         return partitioned_lookup_join(
             left, right_mat, left_key, right_key, left_cols, attach_cols,
             num_partitions,
         )
 
     blocks = [t for t in ray.get(right_mat.to_arrow_refs()) if t.num_rows]
-    if not blocks:
-        # empty right side (a filtered dim matching nothing): inner-join
-        # result is empty with the left+attach schema — emit it directly
-        # rather than concat-ing zero tables
-        names = [n for n, _ in left_cols] + [o for _, _, o in attach_cols]
-        types = [t for _, t in left_cols] + [t for _, t, _ in attach_cols]
-        empty = pa.table(
-            {n: pa.array([], type=t) for n, t in zip(names, types)}
-        )
-
-        def drop_all(b: pa.Table) -> pa.Table:
-            return empty
-
-        return left.map_batches(
-            drop_all, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=65536,
-        )
-    tbl = pa.concat_tables(blocks)
-    keys = tbl[right_key].to_numpy(zero_copy_only=False)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    attach_sorted = {
-        rcol: tbl[rcol].combine_chunks().take(pa.array(order)).cast(typ)
-        for rcol, typ, _ in attach_cols
-    }
+    if blocks:
+        tbl = pa.concat_tables(blocks)
+        keys = tbl[right_key].to_numpy(zero_copy_only=False)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        attach_sorted = {
+            rcol: tbl[rcol].combine_chunks().take(pa.array(order)).cast(typ)
+            for rcol, typ, _ in attach_cols
+        }
+    else:
+        # empty right side (a filtered dim matching nothing): every
+        # left row misses
+        sorted_keys = np.zeros(0, np.int64)
+        attach_sorted = {rcol: pa.array([], typ) for rcol, typ, _ in attach_cols}
     ref = ray.put((sorted_keys, attach_sorted))
-    l_names = [n for n, _ in left_cols]
 
     def map_side(b: pa.Table) -> pa.Table:
         sk, attach = ray.get(ref)
-        lk = b[left_key].to_numpy(zero_copy_only=False)
-        if len(sk):
-            pos = np.searchsorted(sk, lk)
-            pos_c = np.minimum(pos, len(sk) - 1)
-            hit = sk[pos_c] == lk
-        else:
-            pos_c = np.zeros(len(lk), dtype=np.int64)
-            hit = np.zeros(len(lk), dtype=bool)
+        pos, hit = sorted_lookup(sk, b[left_key].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(hit))
         out = {n: (b[n].cast(t) if b[n].type != t else b[n]) for n, t in left_cols}
-        take = pa.array(pos_c[hit])
-        import pyarrow.compute as pc
-
+        take = pa.array(pos[hit])
         for rcol, _, out_name in attach_cols:
             out[out_name] = pc.take(attach[rcol], take)
         return pa.table(out)
 
     return left.map_batches(
-        map_side, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
+        map_side, batch_format="pyarrow", zero_copy_batch=True, batch_size=JOIN_BATCH
     )

@@ -34,6 +34,7 @@ from ..dedup.shingles import (
     gram_hash_arrays_vec,
     gram_hash_flat,
 )
+from ..functions.join import fits_broadcast, partitioned_exists_join, partitioned_lookup_join
 from ..sources.documents import read_documents
 from ..text.analysis import md5_fingerprint
 
@@ -332,8 +333,6 @@ def _attach_texts(pairs, docs, key_col: str, out_col: str, num_partitions: int):
     none of Ray's join-operator actor-pool fixed cost — measured: two
     chained ``Dataset.join`` calls cost ~11 s on a 500-doc input; this
     path ~1 s)."""
-    from ..functions.join import partitioned_lookup_join
-
     left_cols = [("doc_a", pa.int64()), ("doc_b", pa.int64())]
     if out_col == "text_b":
         left_cols.append(("text_a", pa.string()))
@@ -704,7 +703,6 @@ def neardup_pagerank(
     threshold: float = 0.5,
     iters: int = 2,
     damping: float = 0.85,
-    broadcast_cap: int = 50_000_000,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, rank): PageRank over the undirected near-duplicate
@@ -721,11 +719,12 @@ def neardup_pagerank(
     iterations the ranks match the unrolled-join oracle bit-for-bit.
 
     Scale shape: edges come from the verified-pair exchange; per
-    iteration, rank/deg ships to the edge scan (broadcast under
-    ``broadcast_cap`` nodes — the pair-graph node set is the DUPLICATED
-    corpus slice, far smaller than the corpus; past the cap, a
-    partitioned lookup join), and the in-sum exchange carries
-    combiner-sized exponent-bucket states, not edge rows.
+    iteration, rank/deg ships to the edge scan (broadcast while the
+    degree table :func:`~rios_ray.functions.join.fits_broadcast` — the
+    pair-graph node set is the DUPLICATED corpus slice, far smaller
+    than the corpus; otherwise a partitioned lookup join), and the
+    in-sum exchange carries combiner-sized exponent-bucket states, not
+    edge rows.
     """
     import pandas as pd
 
@@ -766,7 +765,7 @@ def neardup_pagerank(
     r0 = 1.0 / n_nodes
     base = (1.0 - damping) / n_nodes
 
-    if n_nodes <= broadcast_cap:
+    if fits_broadcast(deg_ds):
         deg_df = deg_ds.to_pandas().sort_values("src")
         nodes = deg_df["src"].to_numpy()
         degs = deg_df["deg"].to_numpy().astype(np.float64)
@@ -800,8 +799,6 @@ def neardup_pagerank(
 
     # partitioned path: rank travels as a dataset, joined to edges per
     # iteration (same float ops, exchange-sized by nodes, not corpus)
-    from ..functions.join import partitioned_lookup_join
-
     def init_rank(b: pa.Table) -> pa.Table:
         n = b.num_rows
         return pa.table({
@@ -881,7 +878,6 @@ def neardup_triangles(
     sf_dir: str,
     ngram: int = DEFAULT_NGRAM,
     threshold: float = 0.5,
-    broadcast_cap_edges: int = 50_000_000,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, n_triangles): per-document triangle count in the
@@ -897,8 +893,9 @@ def neardup_triangles(
     and each triangle closes exactly once.  Wedge generation is the
     size-grouped vectorized pair emission of the dedup exchanges
     (``_run_pair_indices``); closure is one sorted-u64 membership test
-    against the oriented-edge key set (broadcast under
-    ``broadcast_cap_edges``; partitioned exists-join fallback).
+    against the oriented-edge key set (broadcast while the oriented
+    edges :func:`~rios_ray.functions.join.fits_broadcast`; otherwise a
+    partitioned exists-join).
     Output counts are exact integers — the oracle is the literal 3-way
     self-join.
     """
@@ -954,9 +951,8 @@ def neardup_triangles(
         with np.errstate(over="ignore"):
             return s * np.uint64(0x9E3779B97F4A7C15) ^ d
 
-    n_edges = oriented.count()
-    if n_edges <= broadcast_cap_edges:
-        if n_edges:
+    if fits_broadcast(oriented):
+        if oriented.count():
             parts = [t for t in ray.get(oriented.to_arrow_refs()) if t.num_rows]
             wk_all = np.concatenate([edge_keys(t) for t in parts])
             b1_all = np.concatenate(
@@ -1002,8 +998,6 @@ def neardup_triangles(
             oriented, ["src"], close_wedges, num_partitions=num_partitions
         )
     else:
-        from ..functions.join import partitioned_exists_join
-
         def wedges(t: pa.Table) -> pa.Table:
             dks, dds = ray.get(deg_ref)
             src = t["src"].to_numpy(zero_copy_only=False)

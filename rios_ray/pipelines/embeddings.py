@@ -308,24 +308,22 @@ class _AllPairs:
         )
 
 
-def cosine_neardup(sf_dir: str, threshold: float = 0.8,
-                   broadcast_cap_rows: int = 2_000_000) -> ray.data.Dataset:
+def cosine_neardup(sf_dir: str, threshold: float = 0.8) -> ray.data.Dataset:
     """(vec_a, vec_b): unordered pairs with exact cosine >= threshold
     over the near-dup corpus.  O(n^2) VERIFY BASELINE: the full
     normalized matrix is broadcast to every worker, so this is only
-    valid while it fits a worker's heap — ``broadcast_cap_rows``
-    ENFORCES that boundary (2M x 64 float64 = ~1 GB default; raise it
-    knowingly for wider vectors).  Past the cap the call refuses with a
-    pointer to :func:`cosine_neardup_lsh`, the banded scale path whose
-    output equals this one wherever its recall is 1 — the same enforced
-    switch-over contract as ``auto_lookup_join``."""
+    valid while the matrix :func:`~rios_ray.functions.join.fits_broadcast`.
+    Past that the call refuses with a pointer to
+    :func:`cosine_neardup_lsh`, the banded scale path whose output
+    equals this one wherever its recall is 1."""
+    from ..functions.join import fits_broadcast
+
     ids, mat = _corpus_matrix(sf_dir)
-    if len(ids) > broadcast_cap_rows:
+    if not fits_broadcast(mat):
         raise ValueError(
             f"cosine_neardup broadcasts the full {len(ids)}-row corpus "
-            f"matrix (> cap {broadcast_cap_rows}); use cosine_neardup_lsh "
-            "for corpora past the cap, or raise broadcast_cap_rows if a "
-            "worker heap can genuinely hold the matrix"
+            f"matrix ({mat.nbytes} bytes), too large to broadcast; use "
+            "cosine_neardup_lsh"
         )
     mref = ray.put((ids, mat))
     return neardup_corpus(sf_dir).map_batches(

@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.agg import hash_grouped_aggregate
+from ..sources.documents import read_table
 
 HOUR_US = 3_600_000_000
 DEFAULT_WINDOW_US = 6 * HOUR_US
@@ -41,7 +42,7 @@ DEFAULT_GAP_US = 4 * HOUR_US
 
 
 def read_events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=columns)
+    return read_table(os.path.join(sf_dir, "events.parquet"), columns)
 
 
 def _epoch_us(b: pa.Table, col: str = "ts") -> np.ndarray:

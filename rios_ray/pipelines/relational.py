@@ -30,14 +30,14 @@ import ray
 import ray.data
 
 from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates
+from ..functions.join import sorted_lookup
+from ..sources.documents import read_table
 
 BATCH = 65536
 
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
-    )
+    return read_table(os.path.join(sf_dir, f"{table}.parquet"), columns)
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -375,28 +375,21 @@ def q5_nation_revenue(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def q18_big_orders(
-    sf_dir: str, min_qty: int = 200, broadcast_cap: int = 5_000_000
-) -> ray.data.Dataset:
+def q18_big_orders(sf_dir: str, min_qty: int = 200) -> ray.data.Dataset:
     """Q18-style: orders whose total lineitem quantity exceeds
     ``min_qty``, with customer key and order date.
 
     The HAVING + back-join shape: per-order quantity totals via the
     combiner-first aggregate, the HAVING filter applied partition-side
     (only survivors leave the exchange), and the filtered key->total
-    map broadcast to filter/annotate the orders table — the HAVING
-    result is the small side by construction (the threshold exists to
-    make it selective), so the back-join is shuffle-free.
-
-    A low threshold breaks that assumption, so the survivor count is
-    checked first (cheap: ``big`` is already the aggregated exchange
-    output, materialized once); past ``broadcast_cap`` rows the
-    back-join falls back to the partitioned lookup join instead of a
-    driver-side broadcast table.
+    map joined back onto orders by :func:`auto_lookup_join`.  The
+    HAVING result is usually the small side (the threshold exists to
+    make it selective), so the back-join broadcasts; a low threshold
+    that leaves too many survivors takes the partitioned plan instead.
     """
     import pyarrow.compute as pc
 
-    from ..functions.agg import hash_grouped_aggregate
+    from ..functions.join import auto_lookup_join
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -416,44 +409,20 @@ def q18_big_orders(
 
     big_ds = per_order.map_batches(
         having, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
+    )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    if big_ds.count() > broadcast_cap:
-        from ..functions.join import partitioned_lookup_join
-
-        return partitioned_lookup_join(
-            orders,
-            big_ds,
-            "o_orderkey",
-            "l_orderkey",
-            [
-                ("o_orderkey", pa.int64()),
-                ("o_custkey", pa.int64()),
-                ("o_orderdate", pa.timestamp("us")),
-            ],
-            [("total_qty", pa.int64(), "total_qty")],
-            _join_partitions(),
-        )
-
-    big = big_ds.to_pandas()
-    keys = np.sort(big["l_orderkey"].to_numpy())
-    totals = big.set_index("l_orderkey")["total_qty"]
-    totals_sorted = totals.loc[keys].to_numpy()
-    ref = ray.put((keys, totals_sorted))
-
-    def annotate(b: pa.Table) -> pa.Table:
-        wanted, tq = ray.get(ref)
-        ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(wanted, ok)
-        pos_c = np.minimum(pos, max(len(wanted) - 1, 0))
-        keep = (wanted[pos_c] == ok) if len(wanted) else np.zeros(len(ok), dtype=bool)
-        b = b.filter(pa.array(keep))
-        ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
-        t = tq[np.searchsorted(wanted, ok)]
-        return b.append_column("total_qty", pa.array(t, type=pa.int64()))
-
-    return orders.map_batches(
-        annotate, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH
+    return auto_lookup_join(
+        orders,
+        big_ds,
+        "o_orderkey",
+        "l_orderkey",
+        [
+            ("o_orderkey", pa.int64()),
+            ("o_custkey", pa.int64()),
+            ("o_orderdate", pa.timestamp("us")),
+        ],
+        [("total_qty", pa.int64(), "total_qty")],
+        _join_partitions(),
     )
 
 
@@ -925,7 +894,6 @@ def q13_customer_distribution(sf_dir: str) -> pa.Table:
 
 def q17_small_quantity_revenue(
     sf_dir: str, brand: str = "Brand#4", frac_num: int = 1, frac_den: int = 5,
-    broadcast_cap: int = 5_000_000,
 ) -> ray.data.Dataset:
     """Q17-style small-quantity-order revenue: total extended price (in
     integer cents) and count of lineitems for parts of ``brand`` whose
@@ -934,15 +902,18 @@ def q17_small_quantity_revenue(
 
     Two passes over lineitem (unavoidable: the threshold is a function
     of the full fact table): pass 1 builds per-part (sum_qty, n) for
-    the brand's parts; pass 2 re-scans with the thresholds attached and
-    keeps rows where ``qty * frac_den * n < frac_num * sum_qty`` —
-    EXACT integer math, no float average to diverge on.  The brand
-    part-key set and the per-part threshold map are small by
-    construction (one brand) and broadcast under ``broadcast_cap``;
-    past it the attach falls back to the partitioned lookup join.  The
-    final is the q6 scalar shape: one-row partials, repartition(1).
+    the brand's parts; pass 2 re-scans with them attached by
+    :func:`auto_lookup_join` (one brand's parts: the broadcast side in
+    practice) and keeps rows where ``qty * frac_den * n < frac_num *
+    sum_qty`` — EXACT integer math, no float average to diverge on.
+    The revenue is :func:`global_int_sum` of the kept rows, which
+    raises OverflowError instead of wrapping; the line count is the
+    kept-row count.
     """
     import pyarrow.compute as pc
+
+    from ..functions.agg import global_int_sum
+    from ..functions.join import auto_lookup_join
 
     def brand_parts(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b["p_brand"], brand)).select(["p_partkey"])
@@ -951,14 +922,11 @@ def q17_small_quantity_revenue(
         brand_parts, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=BATCH,
     ).to_pandas()["p_partkey"].to_numpy()
-    pk_sorted = np.sort(part_keys)
-    pk_ref = ray.put(pk_sorted)
+    pk_ref = ray.put(np.sort(part_keys))
 
     def brand_lines(b: pa.Table) -> pa.Table:
-        wanted = ray.get(pk_ref)
-        lp = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(wanted, lp), max(len(wanted) - 1, 0))
-        keep = (wanted[pos] == lp) if len(wanted) else np.zeros(len(lp), bool)
+        _, keep = sorted_lookup(
+            ray.get(pk_ref), b["l_partkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(keep))
         return pa.table({
             "l_partkey": b["l_partkey"],
@@ -968,85 +936,42 @@ def q17_small_quantity_revenue(
             )),
         })
 
-    def li():
-        return _read(
-            sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
-        ).map_batches(
-            brand_lines, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=BATCH,
-        )
-
+    li = _read(
+        sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
+    ).map_batches(
+        brand_lines, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=BATCH,
+    )
     thresholds = hash_grouped_aggregate(
-        li().select_columns(["l_partkey", "qty"]),
+        li.select_columns(["l_partkey", "qty"]),
         ["l_partkey"],
         [("qty", "sum", "sum_qty"), (None, "count", "n")],
-    ).materialize()
-
-    if thresholds.count() > broadcast_cap:
-        from ..functions.join import partitioned_lookup_join
-
-        joined = partitioned_lookup_join(
-            li(), thresholds, "l_partkey", "l_partkey",
-            [("qty", pa.int64()), ("cents", pa.int64())],
-            [("sum_qty", pa.int64(), "sum_qty"), ("n", pa.int64(), "n")],
-            _join_partitions(),
-        )
-
-        def small_joined(b: pa.Table) -> pa.Table:
-            qty = b["qty"].to_numpy(zero_copy_only=False)
-            s = b["sum_qty"].to_numpy(zero_copy_only=False)
-            n = b["n"].to_numpy(zero_copy_only=False)
-            keep = qty * frac_den * n < frac_num * s
-            cents = b["cents"].to_numpy(zero_copy_only=False)[keep]
-            return pa.table({
-                "revenue_cents": pa.array([int(cents.sum())], pa.int64()),
-                "n_lines": pa.array([int(keep.sum())], pa.int64()),
-            })
-
-        partials = joined.map_batches(
-            small_joined, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        th = thresholds.to_pandas().set_index("l_partkey")
-        tk = np.sort(th.index.to_numpy())
-        t_ref = ray.put((tk, th.loc[tk, "sum_qty"].to_numpy(),
-                         th.loc[tk, "n"].to_numpy()))
-
-        def small_bcast(b: pa.Table) -> pa.Table:
-            keys, sums, ns = ray.get(t_ref)
-            lp = b["l_partkey"].to_numpy(zero_copy_only=False)
-            qty = b["qty"].to_numpy(zero_copy_only=False)
-            pos = np.minimum(np.searchsorted(keys, lp), max(len(keys) - 1, 0))
-            hit = (keys[pos] == lp) if len(keys) else np.zeros(len(lp), bool)
-            keep = hit & (qty * frac_den * ns[pos] < frac_num * sums[pos])
-            cents = b["cents"].to_numpy(zero_copy_only=False)[keep]
-            return pa.table({
-                "revenue_cents": pa.array([int(cents.sum())], pa.int64()),
-                "n_lines": pa.array([int(keep.sum())], pa.int64()),
-            })
-
-        partials = li().map_batches(
-            small_bcast, batch_format="pyarrow", batch_size=None
-        )
-
-    def merge(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "revenue_cents": pa.array(
-                [int(b["revenue_cents"].to_numpy(zero_copy_only=False).sum())],
-                pa.int64()),
-            "n_lines": pa.array(
-                [int(b["n_lines"].to_numpy(zero_copy_only=False).sum())],
-                pa.int64()),
-        })
-
-    return partials.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
     )
+    joined = auto_lookup_join(
+        li, thresholds, "l_partkey", "l_partkey",
+        [("qty", pa.int64()), ("cents", pa.int64())],
+        [("sum_qty", pa.int64(), "sum_qty"), ("n", pa.int64(), "n")],
+        _join_partitions(),
+    )
+
+    def small(b: pa.Table) -> pa.Table:
+        qty = b["qty"].to_numpy(zero_copy_only=False)
+        s = b["sum_qty"].to_numpy(zero_copy_only=False)
+        n = b["n"].to_numpy(zero_copy_only=False)
+        return b.select(["cents"]).filter(pa.array(qty * frac_den * n < frac_num * s))
+
+    kept = joined.map_batches(
+        small, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    ).materialize()
+    return ray.data.from_arrow(pa.table({
+        "revenue_cents": pa.array([global_int_sum(kept, "cents")], pa.int64()),
+        "n_lines": pa.array([kept.count()], pa.int64()),
+    }))
 
 
 def q21_returns_suppliers(
     sf_dir: str, status: str = "F", priority: str = "1-URGENT",
-    big_qty: float = 45.0, broadcast_cap: int = 5_000_000,
+    big_qty: float = 45.0,
 ) -> ray.data.Dataset:
     """Q21-style EXISTS + NOT EXISTS composition: suppliers with at
     least one returned ('R') line in a finished (status ``'F'``) order,
@@ -1059,15 +984,14 @@ def q21_returns_suppliers(
     carrying an is-urgent flag) and folds the EXISTS and the NOT EXISTS
     into a single combiner-first per-supplier aggregate: ``seen`` =
     any joined line, ``bad`` = max(quantity > big_qty AND urgent).
-    The flag table is bounded by supplier cardinality: under
-    ``broadcast_cap`` it ships once via ``ray.put`` and the supplier
-    scan applies both predicates in one vectorized membership pass
-    (zero further exchanges); past the cap it falls back to a semi +
-    anti pair of partitioned exists-joins over the flag table.
+    The suppliers whose ``bad`` is 0 are then one semi-join
+    (:func:`auto_lookup_join` with nothing attached) against the
+    supplier table; the flag table is bounded by supplier cardinality,
+    so that join broadcasts in practice.
     """
     import pyarrow.compute as pc
 
-    from ..functions.join import partitioned_exists_join, partitioned_lookup_join
+    from ..functions.join import auto_lookup_join, partitioned_lookup_join
 
     def orders_f(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["o_orderstatus"], status))
@@ -1113,45 +1037,19 @@ def q21_returns_suppliers(
         joined.map_batches(flagify, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None),
         ["l_suppkey"], [("bad", "max", "bad")],
-    ).materialize()
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-
-    if flags.count() <= broadcast_cap:
-        parts = [t for t in ray.get(flags.to_arrow_refs()) if t.num_rows]
-        if parts:
-            tbl = pa.concat_tables(parts)
-            keys = tbl["l_suppkey"].to_numpy(zero_copy_only=False)
-            order = np.argsort(keys)
-            ref = ray.put((keys[order],
-                           tbl["bad"].to_numpy(zero_copy_only=False)[order]))
-        else:
-            ref = ray.put((np.zeros(0, np.int64), np.zeros(0, np.int64)))
-
-        def both(b: pa.Table) -> pa.Table:
-            keys, bad = ray.get(ref)
-            sk = b["s_suppkey"].to_numpy(zero_copy_only=False)
-            if not len(keys):
-                return b.filter(pa.array(np.zeros(len(sk), bool)))
-            pos = np.minimum(np.searchsorted(keys, sk), len(keys) - 1)
-            hit = keys[pos] == sk
-            return b.filter(pa.array(hit & (bad[pos] == 0)))
-
-        return sup.map_batches(
-            both, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=BATCH,
-        )
+    )
 
     # flags holds ONE row per supplier with bad = max, so EXISTS AND
     # NOT-bad collapses to a single semi-join against the bad=0 rows
     def good_only(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b["bad"], 0)).select(["l_suppkey"])
 
-    return partitioned_exists_join(
-        sup,
-        flags.map_batches(good_only, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None),
+    good = flags.map_batches(good_only, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None)
+    return auto_lookup_join(
+        _read(sf_dir, "supplier", ["s_suppkey", "s_name"]), good,
         "s_suppkey", "l_suppkey",
-        [("s_suppkey", pa.int64()), ("s_name", pa.string())],
+        [("s_suppkey", pa.int64()), ("s_name", pa.string())], [],
         _join_partitions(),
     )
 
@@ -1165,16 +1063,6 @@ def q21_returns_suppliers(
 # monetary math stays in integer cents (module docstring); any ratio a
 # query must emit is ONE shared IEEE division of two exact int64 sums.
 # ---------------------------------------------------------------------------
-
-
-def _sorted_lookup(sorted_keys: np.ndarray, probe: np.ndarray):
-    """(positions, found) for ``probe`` against a sorted key array —
-    the module's standard broadcast-dimension lookup (clamped
-    searchsorted + equality check, no per-row Python)."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(probe), np.int64), np.zeros(len(probe), bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
-    return pos, sorted_keys[pos] == probe
 
 
 def _nation_names(sf_dir: str) -> list[str]:
@@ -1256,7 +1144,7 @@ def q8_market_share(
         _, ck_s, _, _ = ray.get(dims_ref)
         od = b["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         keep = (od >= lo) & (od < hi)
-        _, found = _sorted_lookup(ck_s, b["o_custkey"].to_numpy(zero_copy_only=False))
+        _, found = sorted_lookup(ck_s, b["o_custkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(keep & found))
         return pa.table({
             "o_orderkey": b["o_orderkey"],
@@ -1270,13 +1158,13 @@ def q8_market_share(
 
     def prep_li(b: pa.Table) -> pa.Table:
         pk_s, _, sk_sorted, sn_sorted = ray.get(dims_ref)
-        _, is_part = _sorted_lookup(
+        _, is_part = sorted_lookup(
             pk_s, b["l_partkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(is_part))
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
         rev = _cents(price * (1.0 - disc))
-        sp, sfound = _sorted_lookup(
+        sp, sfound = sorted_lookup(
             sk_sorted, b["l_suppkey"].to_numpy(zero_copy_only=False))
         if not sfound.all():
             raise ValueError("q8: lineitem references unknown supplier")
@@ -1359,7 +1247,7 @@ def q9_nation_profit(sf_dir: str, name_sub: str = "red") -> ray.data.Dataset:
 
     def prep_li(b: pa.Table) -> pa.Table:
         pk_sorted, rc, sk_sorted, sn_sorted, _ = ray.get(dims_ref)
-        pp, pfound = _sorted_lookup(
+        pp, pfound = sorted_lookup(
             pk_sorted, b["l_partkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(pfound))
         pp = pp[pfound]
@@ -1367,7 +1255,7 @@ def q9_nation_profit(sf_dir: str, name_sub: str = "red") -> ray.data.Dataset:
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
         qty = b["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         profit = _cents(price * (1.0 - disc)) - rc[pp] * qty
-        sp, sfound = _sorted_lookup(
+        sp, sfound = sorted_lookup(
             sk_sorted, b["l_suppkey"].to_numpy(zero_copy_only=False))
         if not sfound.all():
             raise ValueError("q9: lineitem references unknown supplier")
@@ -1459,9 +1347,9 @@ def q2_min_cost_supplier(
 
     def prep_li(b: pa.Table) -> pa.Table:
         pk_sorted, _, sk_sorted, _, _, _ = ray.get(dims_ref)
-        _, pfound = _sorted_lookup(
+        _, pfound = sorted_lookup(
             pk_sorted, b["l_partkey"].to_numpy(zero_copy_only=False))
-        _, sfound = _sorted_lookup(
+        _, sfound = sorted_lookup(
             sk_sorted, b["l_suppkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(pfound & sfound))
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -1505,8 +1393,8 @@ def q2_min_cost_supplier(
 
     def attach(b: pa.Table) -> pa.Table:
         pk_sorted, pname, sk_sorted, sname, snat, names_ = ray.get(dims_ref)
-        pp, _ = _sorted_lookup(pk_sorted, b["p_partkey"].to_numpy(zero_copy_only=False))
-        sp, _ = _sorted_lookup(sk_sorted, b["s_suppkey"].to_numpy(zero_copy_only=False))
+        pp, _ = sorted_lookup(pk_sorted, b["p_partkey"].to_numpy(zero_copy_only=False))
+        sp, _ = sorted_lookup(sk_sorted, b["s_suppkey"].to_numpy(zero_copy_only=False))
         nat = snat[sp]
         return pa.table({
             "p_partkey": b["p_partkey"],
@@ -1546,7 +1434,7 @@ def q11_important_parts(
 
     def prep_li(b: pa.Table) -> pa.Table:
         wanted = ray.get(nat_supp)
-        _, found = _sorted_lookup(
+        _, found = sorted_lookup(
             wanted, b["l_suppkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(found))
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -1628,7 +1516,7 @@ def q15_top_supplier(
         v = b["total_revenue_cents"].to_numpy(zero_copy_only=False)
         b = b.filter(pa.array(v == best if best is not None
                               else np.zeros(len(v), bool)))
-        sp, found = _sorted_lookup(sk_s, b["s_suppkey"].to_numpy(zero_copy_only=False))
+        sp, found = sorted_lookup(sk_s, b["s_suppkey"].to_numpy(zero_copy_only=False))
         if not found.all():
             raise ValueError("q15: top supplier missing from the supplier table")
         return pa.table({
@@ -1692,8 +1580,8 @@ def q16_supplier_counts(
         pk_sorted, brands, types, sizes_, bad_ = ray.get(dims_ref)
         pkv = b["l_partkey"].to_numpy(zero_copy_only=False)
         skv = b["l_suppkey"].to_numpy(zero_copy_only=False)
-        pp, pfound = _sorted_lookup(pk_sorted, pkv)
-        _, is_bad = _sorted_lookup(bad_, skv)
+        pp, pfound = sorted_lookup(pk_sorted, pkv)
+        _, is_bad = sorted_lookup(bad_, skv)
         m = pfound & ~is_bad
         pp, skv = pp[m], skv[m]
         # batch-local pair dedup before the exchange (combiner)
@@ -1764,7 +1652,7 @@ def q19_disjunctive_revenue(
     def partial(b: pa.Table) -> pa.Table:
         pk_sorted, mask_s = ray.get(dims_ref)
         pkv = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pp, pfound = _sorted_lookup(pk_sorted, pkv)
+        pp, pfound = sorted_lookup(pk_sorted, pkv)
         m = np.zeros(len(pkv), dtype=np.uint8)  # gather only found rows:
         m[pfound] = mask_s[pp[pfound]]  # mask_s may be EMPTY (no part hit)
         qty = b["l_quantity"].to_numpy(zero_copy_only=False)
@@ -1850,7 +1738,7 @@ def q20_excess_suppliers(
         pair per batch."""
         pk_sorted, _, _ = ray.get(dims_ref)
         ship = b["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        _, pfound = _sorted_lookup(
+        _, pfound = sorted_lookup(
             pk_sorted, b["l_partkey"].to_numpy(zero_copy_only=False))
         b = b.filter(pa.array(pfound & (ship >= lo) & (ship < hi)))
         g = pa.table({
@@ -1893,7 +1781,7 @@ def q20_excess_suppliers(
         totals = np.add.reduceat(sq, starts)
         tot = np.repeat(totals, np.diff(np.append(starts, len(sq))))
         win = 2 * sq > tot
-        _, in_nation = _sorted_lookup(sk_sorted, skv)
+        _, in_nation = sorted_lookup(sk_sorted, skv)
         return pa.table({
             "s_suppkey": pa.array(np.unique(skv[win & in_nation])),
         })
@@ -1910,7 +1798,7 @@ def q20_excess_suppliers(
              if t.num_rows and t.num_columns]
     winners_keys = (np.unique(np.concatenate(parts)) if parts
                     else np.zeros(0, np.int64))
-    sp, _ = _sorted_lookup(sk_s, winners_keys)
+    sp, _ = sorted_lookup(sk_s, winners_keys)
     return pa.table({
         "s_suppkey": pa.array(winners_keys, type=pa.int64()),
         "s_name": pa.array(sname_s[sp] if len(winners_keys) else [],

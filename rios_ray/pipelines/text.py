@@ -1107,8 +1107,7 @@ def bigram_lm(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
     )
 
 
-def doc_bigram_coverage(sf_dir: str, min_count: int = 5,
-                        broadcast_cap_keys: int = 50_000_000) -> ray.data.Dataset:
+def doc_bigram_coverage(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
     """Per-document bigram-LM coverage: (doc_id, n_bigrams, n_known,
     coverage) where a bigram is KNOWN when the corpus-level LM table
     (:func:`bigram_lm`) holds it with pair_n >= ``min_count`` — the
@@ -1116,15 +1115,15 @@ def doc_bigram_coverage(sf_dir: str, min_count: int = 5,
     CCNet-style perplexity gate: rare-bigram documents are the ones a
     real LM scores as high-perplexity).
 
-    Model-broadcast scoring shape with an ENFORCED cap (the
-    auto_lookup_join contract): up to ``broadcast_cap_keys`` LM bigram
-    types (u64 keys — 400 MB at the 50M default), the sorted key array
-    ships once via ``ray.put`` and membership is one vectorized
-    searchsorted per batch while the document scan streams.  Past the
-    cap — a 100 TB corpus can hold billions of frequent bigram types —
-    it falls back to the partitioned membership exchange
-    (``partitioned_exists_join`` on the u64 key + per-doc grouped
-    count): same result, no driver/worker array beyond partition size.
+    Model-broadcast scoring shape: while the LM table
+    :func:`~rios_ray.functions.join.fits_broadcast`, its sorted u64 key
+    array ships once via ``ray.put`` and membership is one vectorized
+    :func:`~rios_ray.functions.join.sorted_lookup` per batch while the
+    document scan streams.  A larger LM (a 100 TB corpus can hold
+    billions of frequent bigram types) takes the partitioned membership
+    exchange (``partitioned_exists_join`` on the u64 key + per-doc
+    grouped count): same result, no driver/worker array beyond
+    partition size.
     coverage = n_known / n_bigrams is one exact-int division, so the
     comparison is bitwise either way.
     """
@@ -1145,7 +1144,9 @@ def doc_bigram_coverage(sf_dir: str, min_count: int = 5,
 
     import ray as _ray
 
-    if lm.count() > broadcast_cap_keys:
+    from ..functions.join import fits_broadcast, sorted_lookup
+
+    if not fits_broadcast(lm):
         return _bigram_coverage_partitioned(sf_dir, lm, pair_key)
 
     def lm_keys() -> np.ndarray:
@@ -1175,10 +1176,7 @@ def doc_bigram_coverage(sf_dir: str, min_count: int = 5,
             idx = np.flatnonzero(keep)
             w1 = pa.array(flat[idx], type=pa.string())
             w2 = pa.array(flat[idx + 1], type=pa.string())
-            keys = pair_key(w1, w2)
-            pos = np.searchsorted(known_sorted, keys)
-            pos = np.minimum(pos, max(len(known_sorted) - 1, 0))
-            hit = (known_sorted[pos] == keys) if len(known_sorted) else np.zeros(len(keys), bool)
+            _, hit = sorted_lookup(known_sorted, pair_key(w1, w2))
             doc_of = np.repeat(np.arange(len(df)), n_bi)
             known = np.bincount(doc_of[hit], minlength=len(df)).astype(np.int64)
         cov = np.divide(known, n_bi, out=np.zeros(len(df)), where=n_bi > 0)

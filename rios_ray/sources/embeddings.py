@@ -13,13 +13,15 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .documents import read_table
+
 
 def embeddings_file(sf_dir: str) -> str:
     return os.path.join(sf_dir, "embeddings.parquet")
 
 
 def read_embeddings(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(embeddings_file(sf_dir), columns=columns)
+    return read_table(embeddings_file(sf_dir), columns)
 
 
 def batch_matrix(col: pa.ChunkedArray | pa.Array, dtype=np.float64) -> np.ndarray:

@@ -15,3 +15,21 @@ def ray_session():
     )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def force_strategy(monkeypatch):
+    """``force_strategy(s)`` sets the one broadcast cap
+    (``rios_ray.functions.join.BROADCAST_CAP_BYTES``) so that every
+    broadcast-or-partition decision takes side ``s``: ``"broadcast"``
+    (every side fits) or ``"partitioned"`` (no side fits: joins take
+    the exchange plan and ``cosine_neardup`` refuses).  Undone when the
+    test ends."""
+    from rios_ray.functions import join
+
+    caps = {"broadcast": 1 << 62, "partitioned": 0}
+
+    def force(strategy: str) -> None:
+        monkeypatch.setattr(join, "BROADCAST_CAP_BYTES", caps[strategy])
+
+    return force

@@ -260,6 +260,15 @@ def test_knn_cellring_geocodes_once(ray_session):
     assert not [op.name for op in ops if isinstance(op, Read)]
 
 
+def _leftover_temp_tables(d) -> list[str]:
+    """Warped / rasterized input tables the applier left under ``d``."""
+    import glob
+    import os
+
+    return [os.path.basename(p) for pat in ("rasterized_*", "resample_*", "reproject_*")
+            for p in glob.glob(os.path.join(str(d), pat))]
+
+
 def test_resample_misaligned_input(fixtures, ray_session, tmp_path):
     """A res-20 input on a reference res-10 working grid: with
     setResampleMethod('near') the applier auto-resamples and the
@@ -294,6 +303,16 @@ def test_resample_misaligned_input(fixtures, ray_session, tmp_path):
     sc = np.floor((x - 500000.0) / 20.0).astype(np.int64)
     want = coarse[sr[:, None], sc[None, :]]
     assert np.array_equal(got, want)
+    # the resampled copy of the input is removed on success and on failure
+    assert _leftover_temp_tables(tmp_path) == []
+
+    def fail_fn(info, inputs, outputs):
+        raise RuntimeError("user function failed")
+
+    with pytest.raises(Exception, match="user function failed"):
+        apply(fail_fn, {"a": in_path}, {"out": out_path}, controls=controls,
+              out_dir=str(tmp_path))
+    assert _leftover_temp_tables(tmp_path) == []
 
 
 def test_misaligned_without_resample_raises(fixtures, ray_session, tmp_path):
@@ -384,6 +403,17 @@ def test_vector_input_masked_mean(fixtures, ray_session, tmp_path):
     expect = np.zeros((500, 500), dtype=np.uint8)
     expect[31:51, 11:31] = 1
     assert np.array_equal(got_mask, expect)
+    # the rasterized mask table is removed on success and on failure
+    assert _leftover_temp_tables(tmp_path) == []
+
+    def fail_fn(info, inputs, outputs):
+        raise RuntimeError("user function failed")
+
+    with pytest.raises(Exception, match="user function failed"):
+        apply(fail_fn,
+              {"img": fixtures["ramp"].path, "mask": VectorInput(polys, burn_col="burn_value")},
+              {"out": out_path}, controls=controls, out_dir=str(tmp_path))
+    assert _leftover_temp_tables(tmp_path) == []
 
 
 def test_vector_all_touched_golden_diff(fixtures, ray_session, tmp_path):

@@ -203,7 +203,7 @@ def test_gram_hash_flat_matches_doc_grams():
         assert got == want, (i, t)
 
 
-def test_connected_components_shapes(ray_session):
+def test_connected_components_shapes(ray_session, force_strategy):
     """Chain (forces multiple propagation rounds), triangle, isolated
     pair — labels must be the component-min everywhere."""
     import pyarrow as pa
@@ -220,17 +220,17 @@ def test_connected_components_shapes(ray_session):
     )
     want = {1: 1, 2: 1, 3: 1, 7: 7, 8: 7,
             10: 10, 11: 10, 12: 10, 13: 10, 14: 10}
-    # both strategies: single-task local solve (default at this size)
-    # and the distributed per-round propagation (local_cap=0 forces it)
-    for cap in (5_000_000, 0):
+    # both strategies: the single-task local solve and the distributed
+    # per-round propagation
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
         got = (
-            connected_components(ray.data.from_arrow(edges), num_partitions=4,
-                                 local_cap=cap)
+            connected_components(ray.data.from_arrow(edges), num_partitions=4)
             .to_pandas()
             .set_index("node")["cluster_id"]
             .to_dict()
         )
-        assert got == want, f"local_cap={cap}"
+        assert got == want, strategy
 
 
 def test_minhash_clusters(ray_session):
@@ -298,7 +298,7 @@ def test_winnow_pairs_properties(ray_session):
         assert key in by_pair and shared <= by_pair[key], key
 
 
-def test_connected_components_long_chain(ray_session):
+def test_connected_components_long_chain(ray_session, force_strategy):
     """A 300-node chain (diameter >> the old 64-round budget) converges
     on both paths thanks to pointer-doubling / per-round compression."""
     import numpy as np
@@ -312,13 +312,13 @@ def test_connected_components_long_chain(ray_session):
         "doc_a": pa.array(np.arange(n - 1, dtype=np.int64)),
         "doc_b": pa.array(np.arange(1, n, dtype=np.int64)),
     })
-    for cap in (5_000_000, 0):
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
         got = (
-            connected_components(ray.data.from_arrow(edges),
-                                 num_partitions=4, local_cap=cap)
+            connected_components(ray.data.from_arrow(edges), num_partitions=4)
             .to_pandas()
         )
-        assert len(got) == n and (got["cluster_id"] == 0).all(), f"cap={cap}"
+        assert len(got) == n and (got["cluster_id"] == 0).all(), strategy
 
 
 def test_winnow_df_cap_drop_metric(ray_session, tmp_path, monkeypatch):
@@ -423,7 +423,7 @@ def test_edit_distance_pairs_vs_duckdb(ray_session, con):
     assert (sub["edit_dist"] <= cap).all()
 
 
-def test_neardup_pagerank_vs_duckdb_and_fallback(ray_session, con):
+def test_neardup_pagerank_vs_duckdb_and_fallback(ray_session, con, force_strategy):
     """2-iteration PageRank over the pair graph matches the unrolled
     fsum-join oracle BIT-exactly; the partitioned fallback is
     path-equal; rank mass stays 1 (every out-edge lands in-graph)."""
@@ -431,6 +431,7 @@ def test_neardup_pagerank_vs_duckdb_and_fallback(ray_session, con):
 
     from rios_ray.pipelines.dedup import neardup_pagerank
 
+    force_strategy("broadcast")
     got = neardup_pagerank(SF, threshold=0.5, iters=2).to_pandas(
     ).sort_values("doc_id").reset_index(drop=True)
     want = con.execute("""
@@ -471,20 +472,22 @@ def test_neardup_pagerank_vs_duckdb_and_fallback(ray_session, con):
     assert np.array_equal(got["rank"].to_numpy(), want["rank"].to_numpy())
     # probability mass conserved (undirected graph: no dangling nodes)
     assert abs(got["rank"].sum() - 1.0) < 1e-9
-    # partitioned fallback is path-equal
-    got2 = neardup_pagerank(SF, threshold=0.5, iters=2, broadcast_cap=0)
+    # the partitioned plan is path-equal
+    force_strategy("partitioned")
+    got2 = neardup_pagerank(SF, threshold=0.5, iters=2)
     got2 = got2.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert got2["doc_id"].tolist() == want["doc_id"].tolist()
     assert np.array_equal(got2["rank"].to_numpy(), want["rank"].to_numpy())
 
 
-def test_neardup_triangles_vs_duckdb(ray_session, con):
+def test_neardup_triangles_vs_duckdb(ray_session, con, force_strategy):
     """Per-vertex triangle counts (degree-ordered compact-forward
     enumeration) match the literal SQL 3-way self-join over the same
     verified pair set; broadcast and partitioned paths are path-equal;
     corner sum is divisible by 3."""
     from rios_ray.pipelines.dedup import neardup_triangles
 
+    force_strategy("broadcast")
     got = neardup_triangles(SF, threshold=0.5).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     want = con.execute("""
@@ -512,7 +515,8 @@ def test_neardup_triangles_vs_duckdb(ray_session, con):
     assert got["doc_id"].tolist() == want["doc_id"].tolist()
     assert got["n_triangles"].tolist() == want["n_triangles"].tolist()
     assert got["n_triangles"].sum() % 3 == 0
-    got2 = neardup_triangles(SF, threshold=0.5, broadcast_cap_edges=0
+    force_strategy("partitioned")
+    got2 = neardup_triangles(SF, threshold=0.5
                              ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert got2["doc_id"].tolist() == want["doc_id"].tolist()
     assert got2["n_triangles"].tolist() == want["n_triangles"].tolist()

@@ -153,10 +153,13 @@ def test_kmeans_assign_vs_duckdb(ray_session, con):
     assert got["cluster"].between(0, 15).all() and got["cluster"].nunique() > 4
 
 
-def test_cosine_neardup_cap_enforced(ray_session):
-    """The O(n^2) baseline refuses past its broadcast cap, pointing at
-    the LSH scale path (the auto_lookup_join switch-over contract)."""
+def test_cosine_neardup_cap_enforced(ray_session, force_strategy):
+    """The O(n^2) baseline runs while its matrix fits the broadcast cap
+    and refuses past it, pointing at the LSH scale path."""
     from rios_ray.pipelines import embeddings as E
 
+    force_strategy("broadcast")
+    assert E.cosine_neardup(SF).count() > 0
+    force_strategy("partitioned")
     with pytest.raises(ValueError, match="cosine_neardup_lsh"):
-        E.cosine_neardup(SF, broadcast_cap_rows=10)
+        E.cosine_neardup(SF)

@@ -284,13 +284,13 @@ def test_grid_children_inverts_parent(cells_list, res):
 )
 @settings(max_examples=100, deadline=None)
 def test_sorted_lookup_matches_isin(keys, probe):
-    """_sorted_lookup's found mask == np.isin, and found positions point
-    at the probed key (round-5 broadcast-dimension contract)."""
-    from rios_ray.pipelines.relational import _sorted_lookup
+    """sorted_lookup's found mask == np.isin, and found positions point
+    at the probed key (the broadcast-side membership contract)."""
+    from rios_ray.functions.join import sorted_lookup
 
     ks = np.sort(np.array(keys, dtype=np.int64))
     pr = np.array(probe, dtype=np.int64)
-    pos, found = _sorted_lookup(ks, pr)
+    pos, found = sorted_lookup(ks, pr)
     assert np.array_equal(found, np.isin(pr, ks))
     if found.any():
         assert np.array_equal(ks[pos[found]], pr[found])

@@ -139,15 +139,8 @@ def test_q6(ray_session, con):
     assert got["n_lines"].iloc[0] > 0
 
 
-def test_q18_fallback_join(ray_session, con):
-    """broadcast_cap=0 forces the partitioned-lookup back-join; results
-    must be identical to the broadcast path."""
-    got = (
-        R.q18_big_orders(SF, min_qty=120, broadcast_cap=0)
-        .to_pandas()
-        .sort_values("o_orderkey")
-        .reset_index(drop=True)
-    )
+def test_q18_fallback_join(ray_session, con, force_strategy):
+    """The broadcast and the partitioned back-join both equal DuckDB."""
     want = con.execute("""
         WITH big AS (
             SELECT l_orderkey, sum(CAST(l_quantity AS BIGINT)) AS total_qty
@@ -158,10 +151,17 @@ def test_q18_fallback_join(ray_session, con):
           FROM orders JOIN big ON o_orderkey = l_orderkey
          ORDER BY o_orderkey
     """).df()
-    assert got["o_orderkey"].tolist() == want["o_orderkey"].tolist()
-    assert got["total_qty"].tolist() == want["total_qty"].tolist()
-    assert got["o_custkey"].tolist() == want["o_custkey"].tolist()
-    assert got["o_orderdate"].tolist() == want["o_orderdate"].tolist()
+    assert len(want) > 0
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
+        got = (
+            R.q18_big_orders(SF, min_qty=120)
+            .to_pandas()
+            .sort_values("o_orderkey")
+            .reset_index(drop=True)
+        )
+        for c in ("o_orderkey", "total_qty", "o_custkey", "o_orderdate"):
+            assert got[c].tolist() == want[c].tolist(), (strategy, c)
 
 
 def test_q4_semi_join(ray_session, con):
@@ -275,13 +275,13 @@ def test_q12(ray_session, con):
         assert got[c].tolist() == want[c].tolist(), c
 
 
-def test_auto_lookup_join_both_paths(ray_session):
+def test_auto_lookup_join_both_paths(ray_session, force_strategy):
     """Broadcast map-side path == partitioned exchange path == DuckDB."""
     import numpy as np
     import pyarrow as pa
     import ray.data
 
-    from rios_ray.functions.join import auto_lookup_join, partitioned_lookup_join
+    from rios_ray.functions.join import auto_lookup_join
 
     rng = np.random.default_rng(17)
     lt = pa.table({
@@ -300,18 +300,19 @@ def test_auto_lookup_join_both_paths(ray_session):
         [("k", pa.int64()), ("v", pa.int64())],
         [("name", pa.string(), "name")],
     )
-    for cap in (2_000_000, 0):  # broadcast path, then forced exchange path
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
         got = auto_lookup_join(
             ray.data.from_arrow(lt).repartition(6),
             ray.data.from_arrow(rt),
-            *args, broadcast_cap_rows=cap,
+            *args,
         ).to_pandas()
         g = sorted(map(tuple, got[["k", "v", "name"]].itertuples(index=False)))
         w = sorted(map(tuple, want[["k", "v", "name"]].itertuples(index=False)))
-        assert g == w and len(g) > 0, f"cap={cap}"
+        assert g == w and len(g) > 0, strategy
 
 
-def test_auto_lookup_join_empty_right(ray_session):
+def test_auto_lookup_join_empty_right(ray_session, force_strategy):
     """An empty right side (filtered dim matching nothing) returns an
     empty result with the full output schema on BOTH paths, instead of
     crashing in concat_tables / referencing pos_c unbound."""
@@ -334,16 +335,34 @@ def test_auto_lookup_join_empty_right(ray_session):
         [("k", pa.int64()), ("v", pa.int64())],
         [("name", pa.string(), "name")],
     )
-    for cap in (2_000_000, 0):  # broadcast path, then forced exchange path
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
         out = auto_lookup_join(
             ray.data.from_arrow(lt).repartition(4),
             ray.data.from_arrow(rt),
-            *args, broadcast_cap_rows=cap,
+            *args,
         )
-        assert out.count() == 0, f"cap={cap}"
+        assert out.count() == 0, strategy
         # schema survives at the Dataset level (to_pandas drops columns
         # for all-empty datasets — a Ray quirk, not the join's contract)
-        assert sorted(out.schema().names) == ["k", "name", "v"], f"cap={cap}"
+        assert sorted(out.schema().names) == ["k", "name", "v"], strategy
+
+
+def test_fits_broadcast_zero_block_dataset(ray_session, force_strategy):
+    """A materialized zero-block Dataset (what a filter or an empty keyed
+    exchange can leave) is sized as 0 bytes, not a crash: it fits any
+    positive cap and no cap of 0."""
+    import pyarrow as pa
+    import ray.data
+
+    from rios_ray.functions.join import fits_broadcast
+
+    empty = ray.data.from_arrow(pa.table({"k": pa.array([1, 2])})).limit(0).materialize()
+    assert empty.num_blocks() == 0
+    force_strategy("broadcast")
+    assert fits_broadcast(empty)
+    force_strategy("partitioned")
+    assert not fits_broadcast(empty)
 
 
 def test_q7_volume_shipping_vs_duckdb(ray_session, con):
@@ -398,8 +417,8 @@ def test_q13_customer_distribution(ray_session, con):
     assert got["custdist"].sum() == n_cust
 
 
-def test_q17_small_quantity_revenue(ray_session, con):
-    got = R.q17_small_quantity_revenue(SF, brand="Brand#4").to_pandas()
+def test_q17_small_quantity_revenue(ray_session, con, force_strategy):
+    """Both plans for the per-part threshold attach equal DuckDB."""
     want = con.execute("""
         WITH bp AS (SELECT p_partkey FROM part WHERE p_brand = 'Brand#4'),
         ag AS (SELECT l_partkey, sum(CAST(l_quantity AS BIGINT)) AS s,
@@ -410,41 +429,59 @@ def test_q17_small_quantity_revenue(ray_session, con):
                count(*) AS n_lines
           FROM lineitem l JOIN ag ON l.l_partkey = ag.l_partkey
          WHERE CAST(l.l_quantity AS BIGINT) * 5 * ag.n < 1 * ag.s""").df()
-    assert got["revenue_cents"].tolist() == want["revenue_cents"].tolist()
-    assert got["n_lines"].tolist() == want["n_lines"].tolist()
-    assert int(got["n_lines"][0]) > 0, "fixture should have small-qty lines"
-    # the partitioned fallback (past the broadcast cap) is path-equal
-    got2 = R.q17_small_quantity_revenue(SF, brand="Brand#4",
-                                        broadcast_cap=0).to_pandas()
-    assert got2["revenue_cents"].tolist() == want["revenue_cents"].tolist()
-    assert got2["n_lines"].tolist() == want["n_lines"].tolist()
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
+        got = R.q17_small_quantity_revenue(SF, brand="Brand#4").to_pandas()
+        assert got["revenue_cents"].tolist() == want["revenue_cents"].tolist(), strategy
+        assert got["n_lines"].tolist() == want["n_lines"].tolist(), strategy
+        assert str(got["revenue_cents"].dtype) == "int64"
+        assert str(got["n_lines"].dtype) == "int64"
+        assert int(got["n_lines"][0]) > 0, "fixture should have small-qty lines"
 
 
-def test_q21_returns_suppliers(ray_session, con):
-    got = R.q21_returns_suppliers(SF).to_pandas().sort_values(
-        "s_suppkey").reset_index(drop=True)
-    want = con.execute("""
-        SELECT s.s_suppkey, s.s_name FROM supplier s
-         WHERE EXISTS (SELECT 1 FROM lineitem l JOIN orders o
+def test_q17_revenue_overflow_fails_loud(ray_session, monkeypatch):
+    """A revenue sum past int64 raises instead of wrapping: q17's
+    final goes through the overflow-checked global_int_sum."""
+    import numpy as np
+
+    big = np.int64(2 ** 62)
+    monkeypatch.setattr(R, "_cents", lambda x: np.full(len(x), big, np.int64))
+    with pytest.raises(OverflowError):
+        R.q17_small_quantity_revenue(SF, brand="Brand#4")
+
+
+Q21_SQL = """
+    SELECT s.s_suppkey, s.s_name FROM supplier s
+     WHERE EXISTS (SELECT 1 FROM lineitem l JOIN orders o
+                     ON l.l_orderkey = o.o_orderkey
+                    WHERE l.l_suppkey = s.s_suppkey
+                      AND l.l_returnflag = 'R' AND o.o_orderstatus = '{status}')
+       AND NOT EXISTS (SELECT 1 FROM lineitem l JOIN orders o
                          ON l.l_orderkey = o.o_orderkey
                         WHERE l.l_suppkey = s.s_suppkey
-                          AND l.l_returnflag = 'R' AND o.o_orderstatus = 'F')
-           AND NOT EXISTS (SELECT 1 FROM lineitem l JOIN orders o
-                             ON l.l_orderkey = o.o_orderkey
-                            WHERE l.l_suppkey = s.s_suppkey
-                              AND l.l_returnflag = 'R' AND l.l_quantity > 45
-                              AND o.o_orderstatus = 'F'
-                              AND o.o_orderpriority = '1-URGENT')
-         ORDER BY s_suppkey""").df()
-    assert got["s_suppkey"].tolist() == want["s_suppkey"].tolist()
-    assert got["s_name"].tolist() == want["s_name"].tolist()
+                          AND l.l_returnflag = 'R' AND l.l_quantity > 45
+                          AND o.o_orderstatus = '{status}'
+                          AND o.o_orderpriority = '1-URGENT')
+     ORDER BY s_suppkey"""
+
+
+def test_q21_returns_suppliers(ray_session, con, force_strategy):
+    """Both plans of the final semi-join equal DuckDB, including a
+    status no order has (empty flag table, empty result)."""
+    want = con.execute(Q21_SQL.format(status="F")).df()
     # both the EXISTS and the NOT EXISTS side must bite on the fixture
     n_sup = con.execute("SELECT count(*) FROM supplier").fetchone()[0]
-    assert 0 < len(got) < n_sup
-    # the partitioned fallback (past the broadcast cap) is path-equal
-    got2 = R.q21_returns_suppliers(SF, broadcast_cap=0).to_pandas(
-    ).sort_values("s_suppkey").reset_index(drop=True)
-    assert got2["s_suppkey"].tolist() == want["s_suppkey"].tolist()
+    assert 0 < len(want) < n_sup
+    assert len(con.execute(Q21_SQL.format(status="X")).df()) == 0
+    for strategy in ("broadcast", "partitioned"):
+        force_strategy(strategy)
+        got = R.q21_returns_suppliers(SF).to_pandas().sort_values(
+            "s_suppkey").reset_index(drop=True)
+        assert got["s_suppkey"].tolist() == want["s_suppkey"].tolist(), strategy
+        assert got["s_name"].tolist() == want["s_name"].tolist(), strategy
+        none = R.q21_returns_suppliers(SF, status="X")
+        assert none.count() == 0, strategy
+        assert sorted(none.schema().names) == ["s_name", "s_suppkey"], strategy
 
 
 # --- round 5: the suite-completing eight, gated on the EXACT driver

@@ -575,10 +575,9 @@ def test_doc_bigram_coverage_vs_duckdb(ray_session, con):
     assert (got["n_known"] <= got["n_bigrams"]).all()
 
 
-def test_bigram_coverage_fallback_path_equal(ray_session, tmp_path):
-    """broadcast_cap_keys=0 forces the partitioned membership fallback;
-    it must equal the broadcast path exactly, including zero-bigram and
-    all-unknown documents."""
+def test_bigram_coverage_fallback_path_equal(ray_session, tmp_path, force_strategy):
+    """The partitioned membership plan equals the broadcast plan
+    exactly, including zero-bigram and all-unknown documents."""
     import os
 
     import pyarrow as pa
@@ -601,9 +600,11 @@ def test_bigram_coverage_fallback_path_equal(ray_session, tmp_path):
     sf = str(tmp_path / "sfedge")
     os.makedirs(sf, exist_ok=True)
     pqm.write_table(docs, os.path.join(sf, "documents.parquet"))
+    force_strategy("broadcast")
     a = (doc_bigram_coverage(sf, min_count=3)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (doc_bigram_coverage(sf, min_count=3, broadcast_cap_keys=0)
+    force_strategy("partitioned")
+    b = (doc_bigram_coverage(sf, min_count=3)
          .to_pandas().sort_values("doc_id").reset_index(drop=True)[list(a.columns)])
     assert a.equals(b)
     assert len(a) == 4 and (a.loc[a.doc_id == 1, "n_bigrams"] == 0).all()
