@@ -147,14 +147,7 @@ if __name__ == "__main__":
         print(json.dumps(run_scaling()))
     else:
         summary, raw_iters = run_bench()
-        # raws travel on their own earlier line and in a sidecar: inline they
-        # overflowed the tail capture that parses the FINAL (summary) line
-        sidecar = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_iters.json")
-        try:
-            with open(sidecar, "w") as f:
-                json.dump({"sf": summary["sf"], "num_cpus": summary["num_cpus"],
-                           "iters": raw_iters}, f)
-        except OSError:
-            pass  # read-only checkout: the stdout line still has them
+        # raws travel on their own earlier line: inline they overflowed
+        # the tail capture that parses the FINAL (summary) line
         print(json.dumps({"iters": raw_iters}))
         print(json.dumps(summary))

@@ -525,50 +525,61 @@ def grouped_exact_float_sum(
                                    num_partitions=num_partitions)
 
 
-def global_int_sum(ds, col: str) -> int:
-    """Driver-side exact global sum of an int64 column: one-row
-    per-block partials, pulled to the driver (bounded by block count).
-    A zero-block dataset (possible after an empty keyed exchange — its
-    empty frame has no columns at all) sums to 0, not KeyError.
-    Raises OverflowError when a block's or the global sum leaves int64,
-    where numpy would wrap silently."""
-    import pyarrow as pa
+def _exact_int_sum(term) -> int:
+    """Exact sum of one term: an int, an int array, or a pair ``(x, y)``
+    meaning the sum of ``x * y``.  numpy's int64 arithmetic is exact
+    while the bound allows it; past that, Python ints do the work."""
+    if isinstance(term, int):
+        return term
+    if isinstance(term, tuple):
+        x, y = (np.asarray(a, dtype=np.int64) for a in term)
+        if _max_abs(x) * _max_abs(y) >= 2 ** 63:
+            return sum(a * b for a, b in zip(x.tolist(), y.tolist()))
+        term = x * y
+    v = np.asarray(term, dtype=np.int64)
+    if _max_abs(v) * len(v) >= 2 ** 63:
+        return sum(v.tolist())
+    return int(v.sum())
+
+
+def _max_abs(v: np.ndarray) -> int:
+    return max(abs(int(v.max())), abs(int(v.min()))) if len(v) else 0
+
+
+def global_int_sums(ds, terms) -> dict[str, int]:
+    """Driver-side exact global sums of integer terms, all in one pass.
+
+    ``terms(b)`` maps a block to ``{name: term}``, where a term is an
+    int array, a pair ``(x, y)`` meaning the sum of ``x * y``, or an
+    int (a per-block count).  Each block emits one row: its exact
+    partial per term, or null where the partial leaves int64.  The
+    driver folds the rows in Python ints (bounded by block count) and
+    raises OverflowError naming the term whose block or global sum
+    int64 cannot hold, where numpy would wrap silently.  Empty blocks
+    never reach ``terms`` (Ray skips them, column-less or not), and a
+    name no block reported — a zero-block input — sums to 0.
+    """
+    from collections import Counter
 
     def partial(b: pa.Table) -> pa.Table:
-        v = b[col].to_numpy(zero_copy_only=False)
-        # numpy's int64 sum is exact while len * max|v| < 2**63; past
-        # that, add Python ints and flag a sum int64 cannot hold
-        bound = max(abs(int(v.max())), abs(int(v.min()))) * len(v) if len(v) else 0
-        total = int(v.sum()) if bound < 2 ** 63 else sum(v.tolist())
-        over = not -(2 ** 63) <= total < 2 ** 63
-        return pa.table({"t": pa.array([0 if over else total], pa.int64()),
-                         "over": pa.array([over])})
+        row = {}
+        for name, term in terms(b).items():
+            total = _exact_int_sum(term)
+            fits = -(2 ** 63) <= total < 2 ** 63
+            row[name] = pa.array([total if fits else None], pa.int64())
+        return pa.table(row)
 
-    t = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None).to_pandas()
-    total = sum(t["t"].tolist()) if "t" in t.columns else 0
-    if "t" in t.columns and (t["over"].any() or not -(2 ** 63) <= total < 2 ** 63):
-        raise OverflowError(f"global_int_sum({col!r}): the sum exceeds int64")
-    return total
-
-
-def global_int_max(ds, col: str) -> int | None:
-    """Driver-side exact global max of an int64 column (same bounded
-    per-block-partial shape as :func:`global_int_sum`).  Returns None
-    on an empty/zero-block dataset."""
-    import numpy as np
-    import pyarrow as pa
-
-    sentinel = np.iinfo(np.int64).min
-
-    def partial(b: pa.Table) -> pa.Table:
-        v = b[col].to_numpy(zero_copy_only=False)
-        m = int(v.max()) if len(v) else sentinel
-        return pa.table({"m": pa.array([m], type=pa.int64())})
-
-    t = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None).to_pandas()
-    if "m" not in t.columns or not len(t):
-        return None
-    best = int(t["m"].max())
-    return None if best == sentinel else best
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None)
+    totals: Counter = Counter()
+    for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
+        for name in t.column_names:
+            for v in t[name].to_pylist():
+                if v is None:
+                    raise OverflowError(
+                        f"global_int_sums({name!r}): a block sum exceeds int64")
+                totals[name] += v
+    for name, v in totals.items():
+        if not -(2 ** 63) <= v < 2 ** 63:
+            raise OverflowError(f"global_int_sums({name!r}): the sum exceeds int64")
+    return totals

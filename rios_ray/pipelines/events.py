@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ..functions.agg import hash_grouped_aggregate
+from ..functions.agg import global_int_sums, hash_grouped_aggregate
 from ..sources.documents import read_table
 
 HOUR_US = 3_600_000_000
@@ -834,13 +834,11 @@ def window_anomalies(
     (windowed aggregate -> corpus scalar -> row-local filter).
 
     Pass 1: per-window counts (combiner-first, bounded keys).  Pass 2:
-    exact integer (sum, sumsq, n) of the COUNTS, merged driver-side.
+    exact integer (sum, sumsq, n) of the COUNTS by :func:`global_int_sums`.
     Pass 3: row-local z-score + filter with the identical float64
     expression as the oracle.  The filter predicate is computed on both
     sides as ``(c - mean)^2 > sigma^2 * var`` in the same op order.
     """
-    import pyarrow.compute as pc
-
     counts = tumbling_counts(sf_dir, window_us)
 
     def shrink(b: pa.Table) -> pa.Table:
@@ -852,16 +850,12 @@ def window_anomalies(
         ["window"], [("n_events", "sum", "n_events")], final_mode="tree",
     ).materialize()  # bounded: one row per window
 
-    stats = per_window.map_batches(
-        lambda b: pa.table({
-            "s": pa.array([int(b["n_events"].to_numpy().sum())], type=pa.int64()),
-            "sq": pa.array([int((b["n_events"].to_numpy().astype(np.int64) ** 2).sum())],
-                           type=pa.int64()),
-            "n": pa.array([b.num_rows], type=pa.int64()),
-        }),
-        batch_format="pyarrow", batch_size=None,
-    ).to_pandas().sum()
-    s, sq, n = int(stats["s"]), int(stats["sq"]), int(stats["n"])
+    def terms(b: pa.Table) -> dict:
+        c = b["n_events"]
+        return {"s": c, "sq": (c, c), "n": b.num_rows}
+
+    g = global_int_sums(per_window, terms)
+    s, sq, n = g["s"], g["sq"], g["n"]
     mean = s / n
     var = sq / n - mean * mean
 

@@ -29,7 +29,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates
+from ..functions.agg import (
+    global_int_sums, hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates,
+)
 from ..functions.join import sorted_lookup
 from ..sources.documents import read_table
 
@@ -42,6 +44,14 @@ def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
 
 def _cents(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 100.0 + 0.5).astype(np.int64)
+
+
+def _revenue_row(sums: dict) -> ray.data.Dataset:
+    """The one-row ``(revenue_cents, n_lines)`` int64 result of q6,
+    q17 and q19."""
+    return ray.data.from_arrow(pa.table({
+        c: pa.array([sums[c]], pa.int64()) for c in ("revenue_cents", "n_lines")
+    }))
 
 
 def _join_partitions() -> int:
@@ -219,16 +229,16 @@ def q6_forecast_revenue(
     """Q6-style forecast-revenue delta: SUM(price * discount) over lines
     in a one-year ship window with discount in [lo, hi] and quantity
     below the cap.  The canonical scan-heavy filtered global aggregate:
-    a 4-column pruned read, per-batch boolean mask + cents partial sum,
-    then a single-row merge — no keyed exchange at all (the reduction is
-    a scalar, so the combine is ``repartition(1)`` over one-row
-    partials, never a groupby).  Cents math as in module docstring;
-    the discount bounds compare float64-to-float64 with the identical
-    literals on the SQL side."""
+    a 4-column pruned read, per-block boolean mask + cents, summed by
+    :func:`global_int_sums` — no keyed exchange and no merge stage (the
+    reduction is a scalar: one-row block partials folded driver-side,
+    OverflowError instead of wrapping).  Cents math as in module
+    docstring; the discount bounds compare float64-to-float64 with the
+    identical literals on the SQL side."""
     lo_us = np.datetime64(ship_from, "us").astype(np.int64)
     hi_us = np.datetime64(ship_to, "us").astype(np.int64)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def terms(b: pa.Table) -> dict:
         ship = b["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
         qty = b["l_quantity"].to_numpy(zero_copy_only=False)
@@ -237,38 +247,14 @@ def q6_forecast_revenue(
             & (disc >= disc_lo) & (disc <= disc_hi) & (qty < max_qty)
         )
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        return pa.table(
-            {
-                "revenue_cents": pa.array(
-                    [int(_cents(price * disc[keep]).sum())], type=pa.int64()
-                ),
-                "n_lines": pa.array([int(keep.sum())], type=pa.int64()),
-            }
-        )
+        return {"revenue_cents": _cents(price * disc[keep]), "n_lines": keep}
 
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
-    ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-
-    def merge(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "revenue_cents": pa.array(
-                    [int(b["revenue_cents"].to_numpy(zero_copy_only=False).sum())],
-                    type=pa.int64(),
-                ),
-                "n_lines": pa.array(
-                    [int(b["n_lines"].to_numpy(zero_copy_only=False).sum())],
-                    type=pa.int64(),
-                ),
-            }
-        )
-
-    return ds.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
     )
+    return _revenue_row(global_int_sums(ds, terms))
 
 
 def q5_nation_revenue(sf_dir: str) -> ray.data.Dataset:
@@ -498,11 +484,11 @@ def q22_idle_customers(sf_dir: str, priority: str = "1-URGENT") -> ray.data.Data
 
     Three distributed shapes in one query, mirroring reference Q22:
     (1) an uncorrelated scalar subquery — the positive-balance average
-    — computed as one-row partials merged driver-side and folded into
-    the filter as *exact integer* math (``cents * n > sum_cents``
-    instead of a float divide, so the Ray and SQL sides cannot diverge;
-    the product is safe while cents·count < 2^63 — ~1e18, i.e. beyond
-    100 TB customer counts); (2) a distributed NOT EXISTS (anti-join)
+    — computed by :func:`global_int_sums` and folded into the filter
+    as *exact integer* math (``cents * n > sum_cents`` instead of a
+    float divide, so the Ray and SQL sides cannot diverge; the product
+    is safe while cents·count < 2^63 — ~1e18, i.e. beyond 100 TB
+    customer counts); (2) a distributed NOT EXISTS (anti-join)
     against the orders fact via the partitioned union exchange; (3) the
     grouped count/sum final over nation keys."""
     import pyarrow.compute as pc
@@ -525,22 +511,9 @@ def q22_idle_customers(sf_dir: str, priority: str = "1-URGENT") -> ray.data.Data
         pos_cents, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH
     )
 
-    # scalar subquery: (sum, count) partials -> driver merge (tiny)
-    def partial(b: pa.Table) -> pa.Table:
-        c = b["cents"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "s": pa.array([int(c.sum())], type=pa.int64()),
-                "n": pa.array([int(len(c))], type=pa.int64()),
-            }
-        )
-
-    agg = (
-        pos.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        .sum()
-    )
-    s_total, n_total = int(agg["s"]), int(agg["n"])
+    # scalar subquery: exact (sum, count), one-row partials per block
+    g = global_int_sums(pos, lambda b: {"s": b["cents"], "n": b.num_rows})
+    s_total, n_total = g["s"], g["n"]
 
     def above_avg(b: pa.Table) -> pa.Table:
         c = b["cents"].to_numpy(zero_copy_only=False)
@@ -906,13 +879,11 @@ def q17_small_quantity_revenue(
     :func:`auto_lookup_join` (one brand's parts: the broadcast side in
     practice) and keeps rows where ``qty * frac_den * n < frac_num *
     sum_qty`` — EXACT integer math, no float average to diverge on.
-    The revenue is :func:`global_int_sum` of the kept rows, which
-    raises OverflowError instead of wrapping; the line count is the
-    kept-row count.
+    Revenue and line count are one :func:`global_int_sums` pass over
+    the kept rows, which raises OverflowError instead of wrapping.
     """
     import pyarrow.compute as pc
 
-    from ..functions.agg import global_int_sum
     from ..functions.join import auto_lookup_join
 
     def brand_parts(b: pa.Table) -> pa.Table:
@@ -962,11 +933,9 @@ def q17_small_quantity_revenue(
 
     kept = joined.map_batches(
         small, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
-    return ray.data.from_arrow(pa.table({
-        "revenue_cents": pa.array([global_int_sum(kept, "cents")], pa.int64()),
-        "n_lines": pa.array([kept.count()], pa.int64()),
-    }))
+    )
+    return _revenue_row(global_int_sums(
+        kept, lambda b: {"revenue_cents": b["cents"], "n_lines": b.num_rows}))
 
 
 def q21_returns_suppliers(
@@ -1421,11 +1390,11 @@ def q11_important_parts(
     Adaptation (no partsupp): "value" is discounted lineitem revenue
     from the nation's suppliers, in integer cents.  The global-scalar
     HAVING threshold is the two-pass broadcast shape: grouped per-part
-    sums once (materialized — one row per part), per-block partial
-    totals pulled to the driver (bounded by block count), threshold
-    pushed back as one exact int64 compare.  value > total*num/den is
-    evaluated as value >= floor(total*num/den) + 1 — pure integers, no
-    ratio float anywhere.
+    sums once (materialized — one row per part), the total by
+    :func:`global_int_sums` (one-row block partials folded
+    driver-side), threshold pushed back as one exact int64 compare.
+    value > total*num/den is evaluated as value >= floor(total*num/den)
+    + 1 — pure integers, no ratio float anywhere.
     """
     names = _nation_names(sf_dir)
     nat_key = names.index(nation)
@@ -1452,9 +1421,7 @@ def q11_important_parts(
         li, ["l_partkey"], [("rev_cents", "sum", "value_cents")]
     ).materialize()
 
-    from ..functions.agg import global_int_sum
-
-    total = global_int_sum(per_part, "value_cents")
+    total = global_int_sums(per_part, lambda b: {"v": b["value_cents"]})["v"]
     thr = (total * fraction_num) // fraction_den + 1  # exact int threshold
 
     def keep(b: pa.Table) -> pa.Table:
@@ -1471,8 +1438,8 @@ def q15_top_supplier(
     """Q15-style top supplier: supplier(s) with the maximum discounted
     revenue over one quarter (ties all returned, like the canonical
     view formulation).  Per-supplier grouped sum once (materialized,
-    one row per supplier); global max via per-block partials pulled to
-    the driver (bounded by block count); the winner filter is one
+    one row per supplier); global max by Ray's ``Dataset.max`` (exact
+    on int64, None on an empty aggregate); the winner filter is one
     broadcast int compare; names attach from the broadcast supplier
     table."""
     lo = np.datetime64(date_from, "us").astype(np.int64)
@@ -1497,11 +1464,9 @@ def q15_top_supplier(
         li, ["s_suppkey"], [("rev_cents", "sum", "total_revenue_cents")]
     ).materialize()
 
-    from ..functions.agg import global_int_max
-
     # None when the window matches NO shipments (zero-block aggregate):
     # the result is legitimately empty, matching the oracle's empty set
-    best = global_int_max(per_supp, "total_revenue_cents")
+    best = per_supp.max("total_revenue_cents")
 
     supp = pq.read_table(
         os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_name"]
@@ -1630,7 +1595,8 @@ def q19_disjunctive_revenue(
     Plan: the part side of every bundle collapses to ONE broadcast
     bitmask (partkey -> uint8 of bundles its brand+size satisfies), so
     the scan evaluates all disjuncts in 3 vector ops per bundle and the
-    global sum is the q6 zero-exchange scalar shape.
+    global sum is q6's :func:`global_int_sums` pass (no exchange, no
+    merge stage, OverflowError instead of wrapping).
     """
     if len(bundles) > 8:
         raise ValueError("q19: at most 8 predicate bundles (uint8 bitmask)")
@@ -1649,7 +1615,7 @@ def q19_disjunctive_revenue(
     dims_ref = ray.put((pk[po], mask[hitp][po]))
     qty_ranges = [(qlo, qhi) for (_, _, _, qlo, qhi) in bundles]
 
-    def partial(b: pa.Table) -> pa.Table:
+    def terms(b: pa.Table) -> dict:
         pk_sorted, mask_s = ray.get(dims_ref)
         pkv = b["l_partkey"].to_numpy(zero_copy_only=False)
         pp, pfound = sorted_lookup(pk_sorted, pkv)
@@ -1661,30 +1627,13 @@ def q19_disjunctive_revenue(
             keep |= ((m & (1 << i)) != 0) & (qty >= qlo) & (qty <= qhi)
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
         disc = b["l_discount"].to_numpy(zero_copy_only=False)[keep]
-        return pa.table({
-            "revenue_cents": pa.array(
-                [int(_cents(price * (1.0 - disc)).sum())], type=pa.int64()),
-            "n_lines": pa.array([int(keep.sum())], type=pa.int64()),
-        })
+        return {"revenue_cents": _cents(price * (1.0 - disc)), "n_lines": keep}
 
     ds = _read(
         sf_dir, "lineitem",
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                  batch_size=None)
-
-    def merge(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "revenue_cents": pa.array(
-                [int(b["revenue_cents"].to_numpy(zero_copy_only=False).sum())],
-                type=pa.int64()),
-            "n_lines": pa.array(
-                [int(b["n_lines"].to_numpy(zero_copy_only=False).sum())],
-                type=pa.int64()),
-        })
-
-    return ds.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                         batch_size=None)
+    )
+    return _revenue_row(global_int_sums(ds, terms))
 
 
 def q20_excess_suppliers(

@@ -842,30 +842,25 @@ def doc_zscores(sf_dir: str) -> ray.data.Dataset:
     """Feature standardization: each document's length z-score against
     the corpus, ``(doc_id, n_chars, z)``.
 
-    The two-pass broadcast-scalar shape: pass 1 reduces exact integer
-    (sum, sum-of-squares, count) one-row partials (no keyed exchange —
-    the q22 scalar-subquery pattern); pass 2 is a row-local map using
-    the identical float64 expression as the SQL oracle, so z-scores
-    hash bit-equal.  Integer sumsq bounds: n_chars^2 x corpus rows must
-    stay < 2^63 (~3e9 docs of 1e3 chars) — raise to HUGEINT-style
-    splitting before that.
+    The two-pass broadcast-scalar shape: pass 1 is one
+    :func:`global_int_sums` pass for the exact integer (sum,
+    sum-of-squares, count) — no keyed exchange, OverflowError instead
+    of wrapping; pass 2 is a row-local map using the identical float64
+    expression as the SQL oracle, so z-scores hash bit-equal.
     """
     import numpy as np
     import pyarrow as pa
 
+    from ..functions.agg import global_int_sums
+
     docs = read_documents(sf_dir, columns=["doc_id", "n_chars"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        x = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "s": pa.array([int(x.sum())], type=pa.int64()),
-            "sq": pa.array([int((x * x).sum())], type=pa.int64()),
-            "n": pa.array([len(x)], type=pa.int64()),
-        })
+    def terms(b: pa.Table) -> dict:
+        x = b["n_chars"]
+        return {"s": x, "sq": (x, x), "n": b.num_rows}
 
-    agg = docs.map_batches(partial, batch_format="pyarrow",
-                           batch_size=None).to_pandas().sum()
-    s, sq, n = int(agg["s"]), int(agg["sq"]), int(agg["n"])
+    g = global_int_sums(docs, terms)
+    s, sq, n = g["s"], g["sq"], g["n"]
     mean = s / n
     std = float(np.sqrt(sq / n - mean * mean))
 
@@ -884,47 +879,31 @@ def doc_zscores(sf_dir: str) -> ray.data.Dataset:
 def doc_length_token_corr(sf_dir: str) -> ray.data.Dataset:
     """Pearson correlation of document length vs token count — the
     statistical-profiling scalar, computed from exact integer
-    (sum x, sum y, sum xy, sum x^2, sum y^2, n) partials so the final
-    float expression is bit-identical to the SQL oracle's regardless
-    of reduction order.  One-row partials, no keyed exchange (the q22
-    scalar shape)."""
+    (sum x, sum y, sum xy, sum x^2, sum y^2, n) so the final float
+    expression is bit-identical to the SQL oracle's regardless of
+    reduction order.  One :func:`global_int_sums` pass (no keyed
+    exchange, no merge stage) and a one-row ``(n, corr)`` result."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
 
+    from ..functions.agg import global_int_sums
     from ..text.analysis import token_stats
 
-    def partial(b: pa.Table) -> pa.Table:
+    def terms(b: pa.Table) -> dict:
         t = token_stats(b)
-        x = t["n_chars_txt"].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = t["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "sx": pa.array([int(x.sum())], type=pa.int64()),
-            "sy": pa.array([int(y.sum())], type=pa.int64()),
-            "sxy": pa.array([int((x * y).sum())], type=pa.int64()),
-            "sxx": pa.array([int((x * x).sum())], type=pa.int64()),
-            "syy": pa.array([int((y * y).sum())], type=pa.int64()),
-            "n": pa.array([len(x)], type=pa.int64()),
-        })
+        x, y = t["n_chars_txt"], t["n_tokens"]
+        return {"sx": x, "sy": y, "sxy": (x, y), "sxx": (x, x), "syy": (y, y),
+                "n": t.num_rows}
 
-    def merge(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        g = {c: int(pc.sum(b[c]).as_py()) for c in b.column_names}
-        n = g["n"]
-        cov = g["sxy"] / n - (g["sx"] / n) * (g["sy"] / n)
-        vx = g["sxx"] / n - (g["sx"] / n) * (g["sx"] / n)
-        vy = g["syy"] / n - (g["sy"] / n) * (g["sy"] / n)
-        return pa.table({
-            "n": pa.array([n], type=pa.int64()),
-            "corr": pa.array([cov / np.sqrt(vx * vy)], type=pa.float64()),
-        })
-
-    ds = read_documents(sf_dir, columns=["doc_id", "text"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
-    return ds.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                         batch_size=None)
+    g = global_int_sums(read_documents(sf_dir, columns=["doc_id", "text"]), terms)
+    n = g["n"]
+    cov = g["sxy"] / n - (g["sx"] / n) * (g["sy"] / n)
+    vx = g["sxx"] / n - (g["sx"] / n) * (g["sx"] / n)
+    vy = g["syy"] / n - (g["sy"] / n) * (g["sy"] / n)
+    return ray.data.from_arrow(pa.table({
+        "n": pa.array([n], type=pa.int64()),
+        "corr": pa.array([cov / np.sqrt(vx * vy)], type=pa.float64()),
+    }))
 
 
 def lang_confusion(sf_dir: str) -> ray.data.Dataset:
@@ -1339,9 +1318,10 @@ def bigram_pmi(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
     w1_tot = hash_grouped_aggregate(pairs, ["w1"], [("pair_n", "sum", "w1_n")])
     w2_tot = hash_grouped_aggregate(pairs, ["w2"], [("pair_n", "sum", "w2_n")])
 
-    from ..functions.agg import global_int_sum
+    from ..functions.agg import global_int_sums
 
-    total_n = global_int_sum(pairs, "pair_n")  # 0 on a bigram-less corpus
+    # 0 on a bigram-less corpus
+    total_n = global_int_sums(pairs, lambda b: {"n": b["pair_n"]})["n"]
 
     j1 = auto_lookup_join(
         pairs, w1_tot, "w1", "w1",

@@ -29,6 +29,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from .sources.documents import read_table
+
 DEFAULT_BLOCK_LEN = 100_000  # reference ratapplier.py:370
 
 RCM_EQUALS_INPUT = "equals_input"
@@ -110,7 +112,7 @@ def rat_apply(
             )
         return out
 
-    ds = ray.data.read_parquet(in_path, columns=columns or None)
+    ds = read_table(in_path, columns or None)
     out = ds.map_batches(
         chunk, batch_format="pyarrow", zero_copy_batch=True, batch_size=block_len
     )
@@ -207,7 +209,7 @@ def rat_column_stats(
             }
         )
 
-    ds = ray.data.read_parquet(in_path, columns=cols).map_batches(
+    ds = read_table(in_path, cols).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=block_len
     )
     p = ds.to_pandas()  # tiny: one row per chunk

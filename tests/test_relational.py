@@ -439,15 +439,21 @@ def test_q17_small_quantity_revenue(ray_session, con, force_strategy):
         assert int(got["n_lines"][0]) > 0, "fixture should have small-qty lines"
 
 
-def test_q17_revenue_overflow_fails_loud(ray_session, monkeypatch):
-    """A revenue sum past int64 raises instead of wrapping: q17's
-    final goes through the overflow-checked global_int_sum."""
+@pytest.mark.parametrize("query", [
+    pytest.param(R.q6_forecast_revenue, id="q6"),
+    pytest.param(lambda sf: R.q17_small_quantity_revenue(sf, brand="Brand#4"), id="q17"),
+    pytest.param(R.q19_disjunctive_revenue, id="q19"),
+])
+def test_revenue_overflow_fails_loud(ray_session, monkeypatch, query):
+    """A revenue sum past int64 raises instead of wrapping: every
+    scalar revenue final goes through the overflow-checked
+    global_int_sums."""
     import numpy as np
 
     big = np.int64(2 ** 62)
     monkeypatch.setattr(R, "_cents", lambda x: np.full(len(x), big, np.int64))
-    with pytest.raises(OverflowError):
-        R.q17_small_quantity_revenue(SF, brand="Brand#4")
+    with pytest.raises(OverflowError, match="revenue_cents"):
+        query(SF)
 
 
 Q21_SQL = """

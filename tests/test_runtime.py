@@ -127,46 +127,72 @@ def test_lineage_record_is_json(tmp_path):
     assert d["extra"] == {"k": "v"}
 
 
-def test_global_int_sum_and_max(ray_session):
-    """driver-side global sum/max helpers: exact values, zero-block
-    safety (the empty frame of a zero-block dataset has no columns)."""
+def test_global_int_sums(ray_session):
+    """The driver-side exact-sum helper: exact values for array, count
+    and product terms in one call; a zero-block input sums to 0 (its
+    empty frame has no columns); so does a keyed-exchange output whose
+    empty partitions are column-less blocks."""
     import numpy as np
     import pyarrow as pa
     import ray.data
 
-    from rios_ray.functions.agg import global_int_max, global_int_sum
+    from rios_ray.functions.agg import global_int_sums, hash_grouped_aggregate
 
     vals = np.array([5, -3, 7, 0, 11], dtype=np.int64)
     ds = ray.data.from_arrow(pa.table({"v": pa.array(vals)}))
-    assert global_int_sum(ds, "v") == int(vals.sum())
-    assert global_int_max(ds, "v") == int(vals.max())
+
+    def terms(b):
+        return {"s": b["v"], "sq": (b["v"], b["v"]), "n": b.num_rows}
+
+    assert global_int_sums(ds, terms) == {
+        "s": int(vals.sum()), "sq": int((vals * vals).sum()), "n": len(vals)}
 
     # an all-filtered (possibly zero-block) dataset
     empty = ds.filter(lambda r: False)
-    assert global_int_sum(empty, "v") == 0
-    assert global_int_max(empty, "v") is None
+    got = global_int_sums(empty, terms)
+    assert (got["s"], got["sq"], got["n"]) == (0, 0, 0)
+
+    # 2 keys over 16 partitions: 14+ of the exchange's blocks hold no columns
+    keyed = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2, 1, 2], pa.int64()),
+        "v": pa.array([2 ** 40, 3, 2 ** 40, 4], pa.int64())}))
+    g = hash_grouped_aggregate(keyed, ["k"], [("v", "sum", "s")], num_partitions=16)
+    assert global_int_sums(g, lambda b: {"s": b["s"]})["s"] == 2 ** 41 + 7
+    assert g.max("s") == 2 ** 41
 
 
-def test_global_int_sum_overflow_raises(ray_session):
-    """An int64 sum that leaves int64 raises instead of wrapping, both
-    inside one block and across block partials; cancelling terms that
-    pass the per-block bound still sum exactly."""
+def test_global_int_sums_overflow_raises(ray_session):
+    """A sum that leaves int64 raises, naming the term, both inside one
+    block and across block partials, and so does a product term whose
+    ``x*x`` leaves int64; cancelling terms past the int64 bound —
+    plain or products — still sum exactly."""
     import pyarrow as pa
     import pytest
     import ray.data
 
-    from rios_ray.functions.agg import global_int_sum
+    from rios_ray.functions.agg import global_int_sums
+
+    def v_sum(b):
+        return {"v": b["v"]}
 
     big = 2 ** 62
     one_block = ray.data.from_arrow(pa.table({"v": pa.array([big, big], pa.int64())}))
-    with pytest.raises(OverflowError, match="int64"):
-        global_int_sum(one_block, "v")
+    with pytest.raises(OverflowError, match="'v'.*int64"):
+        global_int_sums(one_block, v_sum)
     two_blocks = ray.data.from_arrow([pa.table({"v": pa.array([big + k], pa.int64())})
                                       for k in (0, 1)])
-    with pytest.raises(OverflowError, match="int64"):
-        global_int_sum(two_blocks, "v")
+    with pytest.raises(OverflowError, match="'v'.*int64"):
+        global_int_sums(two_blocks, v_sum)
     cancel = ray.data.from_arrow(pa.table({"v": pa.array([big, big, -big, -big], pa.int64())}))
-    assert global_int_sum(cancel, "v") == 0
+    assert global_int_sums(cancel, v_sum)["v"] == 0
+
+    wide = ray.data.from_arrow(pa.table({
+        "x": pa.array([2 ** 40, 2 ** 40], pa.int64()),
+        "y": pa.array([2 ** 40, -(2 ** 40)], pa.int64())}))
+    with pytest.raises(OverflowError, match="'xx'.*int64"):
+        global_int_sums(wide, lambda b: {"n": b.num_rows, "xx": (b["x"], b["x"])})
+    got = global_int_sums(wide, lambda b: {"xy": (b["x"], b["y"]), "n": b.num_rows})
+    assert got == {"xy": 0, "n": 2}
 
 
 # --------------------------------------------------------------------------
