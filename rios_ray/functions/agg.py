@@ -103,16 +103,48 @@ def combine_partials(table: pa.Table, keys: list[str],
                              [a for _, _, a in aggs])
 
 
+def gathered_blocks(ds) -> list[pa.Table]:
+    """Execute ``ds`` once and fetch its non-empty blocks to the driver
+    as Arrow tables, dropping empty and column-less ones (keyed
+    exchanges emit the latter for empty partitions)."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    tables = (BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs))
+    return [t for t in tables if t.num_rows and t.num_columns]
+
+
+def gather_final(ds, fn):
+    """Run a bounded single-block final on the driver: ``fn`` over the
+    concatenation of ``ds``'s non-empty blocks, returned as an executed
+    Dataset whose schema and row count are known, so ``schema()``,
+    ``to_arrow_refs()`` and ``count()`` start no further job.  Only for
+    finals whose input is bounded (grid cells, k x blocks x queries),
+    like the driver fold of the reference's single-pass statistics
+    (``rios/calcstats.py:656-692``).  A lazy ``repartition(1)`` final
+    would instead run its whole upstream again under ``limit(1)``
+    whenever a consumer asks for its schema.
+
+    An input with no rows gives a zero-row Dataset without calling
+    ``fn``; an exception from ``fn`` reaches the caller as raised.
+    """
+    import ray.data
+
+    tables = gathered_blocks(ds)
+    out = ray.data.from_arrow(
+        fn(pa.concat_tables(tables, promote_options="default")) if tables
+        else pa.table({}))
+    out._plan.execute()  # in-memory source: no job, marks the plan executed
+    return out
+
+
 def combine_tree(partials, keys: list[str], aggs: list[tuple[str | None, str, str]]):
-    """Gather every partial into one block and combine once: no keyed
-    exchange, so only for a bounded distinct-key count."""
-
-    def final(b: pa.Table) -> pa.Table:
-        return combine_partials(b, keys, aggs)
-
-    return partials.repartition(1).map_batches(
-        final, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    """Gather every partial to the driver and combine once
+    (:func:`gather_final`): no keyed exchange, so only for a bounded
+    distinct-key count."""
+    return gather_final(partials, lambda t: combine_partials(t, keys, aggs))
 
 
 def hash_grouped_aggregate(
@@ -131,10 +163,11 @@ def hash_grouped_aggregate(
     - ``"partition"`` (default): hash-partition partials on the keys,
       combine per partition — scales to unbounded key cardinality
       (dedup md5s, pair keys).
-    - ``"tree"``: gather all partials into one block and combine once —
-      no keyed exchange (the sort barrier costs a serial tail, measured
-      ~2 s at sf0.5).  Use ONLY when the distinct-key count is bounded
-      (grid cells x categories), since the final combine is one task.
+    - ``"tree"``: gather all partials to the driver and combine once
+      (:func:`combine_tree`) — no keyed exchange (the sort barrier costs
+      a serial tail, measured ~2 s at sf0.5).  Use ONLY when the
+      distinct-key count is bounded (grid cells x categories), since
+      the driver holds every partial.  Executes eagerly.
     """
     if final_mode == "tree":
         return combine_tree(partial_aggregate(ds, keys, aggs), keys, aggs)
@@ -212,27 +245,20 @@ def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool],
 
     Per-batch local top-k using the SAME total order as the final merge
     (a value-only cut could discard the tie-winner at the k-th
-    boundary), then one tiny single-task merge over at most
-    ``k * n_blocks`` surviving rows — the order-statistics analogue of
-    pre-aggregate-before-shuffle.  Total order must be deterministic
+    boundary), then one driver-side merge (:func:`gather_final`) over at
+    most ``k * n_blocks`` surviving rows — the order-statistics analogue
+    of pre-aggregate-before-shuffle.  Total order must be deterministic
     (include a unique tie-break column).
     """
-    import pandas as pd  # noqa: F401  (batch_format="pandas")
+    order = [(c, "ascending" if asc else "descending")
+             for c, asc in zip(sort_cols, ascending)]
 
-    def local(b):
-        return b.sort_values(sort_cols, ascending=ascending, kind="mergesort").head(k)
+    def top(b: pa.Table) -> pa.Table:
+        return b.sort_by(order).slice(0, k)
 
-    def final(b):
-        return (
-            b.sort_values(sort_cols, ascending=ascending, kind="mergesort")
-            .head(k)
-            .reset_index(drop=True)
-        )
-
-    local_ds = ds.map_batches(local, batch_format="pandas", batch_size=batch_size)
-    return local_ds.repartition(1).map_batches(
-        final, batch_format="pandas", batch_size=None
-    )
+    local = ds.map_batches(top, batch_format="pyarrow", zero_copy_batch=True,
+                           batch_size=batch_size)
+    return gather_final(local, top)
 
 
 def grouped_quantiles(ds, key: str, value_col: str, qs: list[float],
@@ -572,7 +598,7 @@ def global_int_sums(ds, terms) -> dict[str, int]:
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
     totals: Counter = Counter()
-    for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
+    for t in gathered_blocks(parts):
         for name in t.column_names:
             for v in t[name].to_pylist():
                 if v is None:

@@ -26,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 import pyarrow as pa
 
+from .agg import gathered_blocks
+
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)
 _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -86,7 +88,7 @@ def bloom_from_dataset(ds, key_col: str, m_bits: int = 1 << 23,
     """One streaming pass over ``ds[key_col]`` -> merged bitmap words.
 
     Each input block folds its keys into a local bitmap (one blob row);
-    a single reduce task ORs the blobs.  The result is driver-side and
+    the driver ORs the blobs.  The result is driver-side and
     small (m_bits/8 bytes) — ``ray.put`` it once for probing stages.
 
     Returns a :class:`BloomFilter` carrying BOTH the bitmap and the
@@ -108,16 +110,8 @@ def bloom_from_dataset(ds, key_col: str, m_bits: int = 1 << 23,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
 
-    def merge(b: pa.Table) -> pa.Table:
-        acc = np.zeros(n_words, dtype=np.uint64)
-        for blob in b["bits"]:
+    acc = np.zeros(n_words, dtype=np.uint64)
+    for t in gathered_blocks(partials):
+        for blob in t["bits"]:
             acc |= np.frombuffer(blob.as_py(), dtype=np.uint64)
-        return pa.table({"bits": pa.array([acc.tobytes()],
-                                          type=pa.large_binary())})
-
-    merged = partials.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    return BloomFilter(
-        np.frombuffer(merged[0]["bits"], dtype=np.uint64).copy(), k
-    )
+    return BloomFilter(acc, k)

@@ -42,7 +42,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.agg import gather_final
 from ..sources.embeddings import batch_matrix, embeddings_file, read_embeddings
+from ..stages.skew import ranked_head_per_key
 from ..util import default_pool
 
 BATCH_SIZE = 2048
@@ -154,34 +156,15 @@ class _BatchTopK:
 
 def _merge_topk(cands: ray.data.Dataset, k: int) -> ray.data.Dataset:
     """Final top-k merge shared by all ANN paths: the candidate volume
-    is bounded by k x n_blocks x n_queries, so gather it into ONE block
-    and rank every query in a single lexsort — the ``repartition(1)`` +
-    vectorized-merge shape of ``pages.py::knn_pages`` (BASELINE.md
-    lesson 4), replacing the per-group sort barrier
-    ``groupby(qid).map_groups`` paid in rounds 1-2."""
-
-    def merge(t: pa.Table) -> pa.Table:
-        qid = t["qid"].to_numpy()
-        ids = t["vec_id"].to_numpy()
-        cos = t["cos"].to_numpy()
-        order = np.lexsort((ids, -cos, qid))  # per qid: cos desc, id asc
-        q_s, id_s = qid[order], ids[order]
-        new = np.concatenate([[True], q_s[1:] != q_s[:-1]])
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(q_s)))
-        rank = np.arange(len(q_s), dtype=np.int64) - np.repeat(starts, sizes)
-        keep = rank < k
-        return pa.table(
-            {
-                "qid": pa.array(q_s[keep]),
-                "vec_id": pa.array(id_s[keep]),
-                "rank": pa.array(rank[keep] + 1),
-            }
-        )
-
-    return cands.repartition(1).map_batches(
-        merge, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    is bounded by k x n_blocks x n_queries, so gather it to the driver
+    (:func:`~rios_ray.functions.agg.gather_final`) and rank every query
+    in one Arrow sort — the vectorized-merge shape of
+    ``pages.py::knn_pages`` (BASELINE.md lesson 4), replacing the
+    per-group sort barrier ``groupby(qid).map_groups`` paid in rounds
+    1-2.  Per qid: cos descending, vec_id ascending."""
+    order = [("cos", "descending"), ("vec_id", "ascending")]
+    return gather_final(cands, lambda t: ranked_head_per_key(t, "qid", k, order)
+                        .select(["qid", "vec_id", "rank"]))
 
 
 def knn_embeddings(sf_dir: str, k: int = DEFAULT_K) -> ray.data.Dataset:

@@ -3,8 +3,10 @@
 This is the engine's equivalent of the reference's top entry point
 ``rios.applier.apply`` (``/root/reference/rios/applier.py:861-955``):
 plan on the driver, stream blocks through vectorized per-batch
-transforms, finalize with a small aggregate.  Every stage is lazy; the
-only materialized results are aggregates.
+transforms, finalize with a small aggregate.  Row-level outputs stay
+lazy; a pipeline that ends in a bounded aggregate or top-k folds it on
+the driver (``functions.agg.gather_final``), so it executes when called
+and returns an in-memory Dataset.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ray
 import ray.data
 
 from .. import synth
+from ..functions.agg import gather_final
 from ..sources.pages import read_pages
 from ..stages.cellassign import (
     DEFAULT_GRID_RES,
@@ -148,9 +151,9 @@ def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
 def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
     """Spatial-join + tiling headline: per-(cell, category) page counts.
 
-    :func:`flagship_partials` then one tree final (cell x category
-    cardinality is bounded by the grid, so one combine task beats a
-    keyed exchange).  Result is identical to
+    :func:`flagship_partials` then one driver-side combine (cell x
+    category cardinality is bounded by the grid, so a gather beats a
+    keyed exchange); runs once, when called.  Result is identical to
     ``grouped_count(spatial_join(...), ["cell", "category"])`` —
     verified by the same DuckDB oracle.
     """
@@ -176,10 +179,14 @@ def cell_band_math(
     over the flagship's tiled counts).
 
     Cost: the flagship aggregate itself; the pivot is one vectorized
-    pass over its tree-final block (cell x category is grid-bounded at
-    any corpus size, so the single-task pivot holds at 100 TB).
+    pass over its combined counts in the same driver-side final (cell x
+    category is grid-bounded at any corpus size, so the driver fold
+    holds at 100 TB).
     """
-    counts = flagship(sf_dir, grid_res=grid_res)
+    from ..functions.agg import combine_partials
+
+    ppath, _ = synth.ensure_polygons()
+    partials = flagship_partials(sf_dir, ray.put(pq.read_table(ppath)), grid_res)
 
     def pivot(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -205,13 +212,10 @@ def cell_band_math(
                                    / nb.astype(np.float64)),
         })
 
-    # the pivot needs BOTH bands of a cell in one batch: repartition(1)
-    # makes that invariant local (today it is a no-op — flagship's tree
-    # final already emits one grid-bounded block — but this no longer
-    # depends on flagship's final_mode from another module)
-    return counts.repartition(1).map_batches(
-        pivot, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None)
+    # the pivot needs BOTH bands of a cell in one table: it runs in the
+    # same gather as the combine
+    return gather_final(
+        partials, lambda t: pivot(combine_partials(t, FLAGSHIP_KEYS, FLAGSHIP_AGGS)))
 
 
 def knn_pages(sf_dir: str, k: int = 10) -> ray.data.Dataset:
@@ -226,9 +230,7 @@ def knn_pages(sf_dir: str, k: int = 10) -> ray.data.Dataset:
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
     )
-    return partial.repartition(1).map_batches(
-        knn_final_merge_all(k), batch_format="pandas", batch_size=None
-    )
+    return gather_final(partial, knn_final_merge_all(k))
 
 
 def knn_pages_cellring(sf_dir: str, k: int = 10,
@@ -271,8 +273,8 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
     )
 
     # pass 1: per-cell counts.  Tree final: cardinality is bounded by
-    # the GRID (not the corpus), so per-batch partials + one merge task
-    # beat a keyed exchange — same reasoning as flagship's final
+    # the GRID (not the corpus), so per-batch partials + one driver-side
+    # merge beat a keyed exchange — same reasoning as flagship's final
     counts_df = grouped_count(
         geo.select_columns(["cell"]), ["cell"], alias="n",
         final_mode="tree",
@@ -335,9 +337,7 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
     partial = geo.map_batches(
         refine, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
     )
-    return partial.repartition(1).map_batches(
-        knn_final_merge_all(k), batch_format="pandas", batch_size=None
-    )
+    return gather_final(partial, knn_final_merge_all(k))
 
 
 HOST_RE = r"^[a-z]+://(?P<host>[^/]+)"
@@ -480,7 +480,7 @@ def pages_cube(sf_dir: str) -> ray.data.Dataset:
     Scale shape: the scan aggregates only the FINEST level
     (combiner-first; lang x tld cardinality is bounded by the crawl's
     language list x suffix list, not rows), and every coarser grouping
-    set is derived from that small table in a single final task — the
+    set is derived from that small table on the driver — the
     cell_rollup parents-from-children move applied to categorical
     dimensions, so the cube costs one exchange of finest-level partials
     no matter how many grouping sets it reports.
@@ -515,11 +515,8 @@ def pages_cube(sf_dir: str) -> ray.data.Dataset:
         g = out.group_by(["lang", "tld"]).aggregate([("n_pages", "sum")])
         return rename_aggregates(g, [("n_pages", "sum")], ["n_pages"])
 
-    # finest is one block (tree final): the cube expansion is one task
-    return finest.map_batches(
-        expand_sets, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    )
+    # finest is one in-memory block: expand it on the driver too
+    return gather_final(finest, expand_sets)
 
 
 def host_crawl_sessions(sf_dir: str, gap_us: int = 6 * 3600 * 1_000_000,

@@ -30,7 +30,8 @@ import ray
 import ray.data
 
 from ..functions.agg import (
-    global_int_sums, hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates,
+    gathered_blocks, global_int_sums, hash_grouped_aggregate, hash_partitioned_groups,
+    rename_aggregates,
 )
 from ..functions.join import sorted_lookup
 from ..sources.documents import read_table
@@ -846,12 +847,11 @@ def q13_customer_distribution(sf_dir: str) -> pa.Table:
         ["o_custkey"],
         [(None, "count", "c_count")],
     ).materialize()
-    dist = hash_grouped_aggregate(
+    parts = gathered_blocks(hash_grouped_aggregate(
         counts.select_columns(["c_count"]),
         ["c_count"],
         [(None, "count", "custdist")],
-    ).to_arrow_refs()
-    parts = [t for t in ray.get(dist) if t.num_rows]
+    ))
     tbl = pa.concat_tables(parts) if parts else pa.table(
         {"c_count": pa.array([], pa.int64()), "custdist": pa.array([], pa.int64())}
     )
@@ -1742,9 +1742,7 @@ def q20_excess_suppliers(
     # exchange (measured 3.3 -> ~2 s at sf0.1), and a legitimately-empty
     # result still carries its (s_suppkey, s_name) schema (q13
     # precedent; an all-empty map_groups dataset loses it otherwise).
-    parts = [t["s_suppkey"].to_numpy(zero_copy_only=False)
-             for t in ray.get(hits.to_arrow_refs())
-             if t.num_rows and t.num_columns]
+    parts = [t["s_suppkey"].to_numpy(zero_copy_only=False) for t in gathered_blocks(hits)]
     winners_keys = (np.unique(np.concatenate(parts)) if parts
                     else np.zeros(0, np.int64))
     sp, _ = sorted_lookup(sk_s, winners_keys)

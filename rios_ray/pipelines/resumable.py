@@ -54,9 +54,8 @@ def resumable_flagship(sf_dir: str, out_dir: str) -> dict:
 def finalize_flagship(out_dir: str) -> ray.data.Dataset:
     """Combine committed per-shard partials into the global counts,
     sorted by (cell, category), as a Dataset.  The driver reads and
-    holds every partial at once: the bound of the flagship's tree
-    final, which gathers them into one task (cell x category is
-    grid-bounded)."""
+    holds every partial at once: the bound of the flagship's own
+    driver-side combine (cell x category is grid-bounded)."""
     files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
     partials = pa.concat_tables(pq.read_table(f) for f in files)
     counts = combine_partials(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)

@@ -74,6 +74,8 @@ def top_token_pages(sf_dir: str, k: int = 100):
     import numpy as np
     import pyarrow as pa
 
+    from ..functions.agg import gather_final
+
     def local_topk(b: pa.Table) -> pa.Table:
         n = b["n_tokens"].to_numpy()
         ids = b["doc_id"].to_numpy()
@@ -99,9 +101,7 @@ def top_token_pages(sf_dir: str, k: int = 100):
     local = ds.map_batches(
         local_topk, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
     )
-    return local.repartition(1).map_batches(
-        final, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    return gather_final(local, final)
 
 
 def pii(sf_dir: str) -> ray.data.Dataset:
@@ -775,7 +775,7 @@ def heavy_hitter_tokens(sf_dir: str, k: int = 30) -> ray.data.Dataset:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..functions.agg import rename_aggregates
+    from ..functions.agg import gather_final, gathered_blocks, rename_aggregates
     from ..functions.sketch import mg_compress, mg_partial
 
     def explode(b: pa.Table):
@@ -804,7 +804,7 @@ def heavy_hitter_tokens(sf_dir: str, k: int = 30) -> ray.data.Dataset:
 
     # candidate set: bounded at k-1 rows per input block, so gathering
     # the partials is a tiny driver-side merge (not a data materialize)
-    cand = merge(pa.concat_tables(_ray.get(partials.to_arrow_refs())))
+    cand = merge(pa.concat_tables(gathered_blocks(partials)))
     cand_ref = _ray.put(cand["token"].combine_chunks().cast(pa.string()))
 
     def exact_partial(b: pa.Table) -> pa.Table:
@@ -833,9 +833,7 @@ def heavy_hitter_tokens(sf_dir: str, k: int = 30) -> ray.data.Dataset:
                           pa.scalar(total, type=pa.int64()))
         return g.filter(keep)
 
-    return counted.repartition(1).map_batches(
-        final, batch_format="pyarrow", batch_size=None
-    )
+    return gather_final(counted, final)
 
 
 def doc_zscores(sf_dir: str) -> ray.data.Dataset:

@@ -183,9 +183,12 @@ def run_resumable(
     finishes.  ``rows_out``/``bytes_out`` come from the written footers.
 
     ``build`` is called on the calling thread (see the module docstring);
-    only the execution and the write run in the window.  A failed
-    partition does not stop the others: once every partition has
-    finished, the first failure (in partition order) is re-raised.
+    only the execution and the write run in the window.  So ``build``
+    must return a lazy Dataset: a driver-side final
+    (``functions.agg.gather_final``) would execute inside it and
+    serialise the window.  A failed partition does not stop the
+    others: once every partition has finished, the first failure (in
+    partition order) is re-raised.
 
     ``partitions``: partition name -> list of input paths (recorded as
     lineage).  Returns {"ran": [...], "skipped": [...], "manifest": M,

@@ -14,8 +14,9 @@ scale path (per-worker cell-ring search over a co-partitioned index) is
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from .skew import ranked_head_per_key
 
 
 class KnnPartialStage:
@@ -70,20 +71,17 @@ class KnnPartialStage:
 
 
 def knn_final_merge_all(k: int):
-    """Single-task final reduce over ALL qids at once.
+    """Final reduce over ALL qids at once: each query's ``k`` nearest
+    by ``(d2, url)``, ranked from 1, in one Arrow sort.
 
     Replaces ``groupby("qid").map_groups`` — the keyed sort barrier
     costs ~1.6 s of fixed overhead per run on a result that is only
-    ``|blocks| x |queries| x k`` rows.  Gathering those partials to one
-    task (``repartition(1)``) and doing a vectorized lexsort +
-    per-group head-k is strictly cheaper while |queries| x k fits in
-    one block."""
+    ``|blocks| x |queries| x k`` rows.  Callers gather those partials
+    to the driver (``functions.agg.gather_final``) while |queries| x k
+    stays small."""
 
-    def merge(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["qid", "d2", "url"], kind="mergesort")
-        b = b.groupby("qid", sort=False).head(k).reset_index(drop=True)
-        b["rank"] = (b.groupby("qid", sort=False).cumcount() + 1).astype(np.int64)
-        return b
+    def merge(t: pa.Table) -> pa.Table:
+        return ranked_head_per_key(t, "qid", k, [("d2", "ascending"), ("url", "ascending")])
 
     return merge
 

@@ -33,3 +33,25 @@ def force_strategy(monkeypatch):
         monkeypatch.setattr(join, "BROADCAST_CAP_BYTES", caps[strategy])
 
     return force
+
+
+@pytest.fixture
+def ray_jobs(monkeypatch):
+    """Every Ray Data job started while the test runs: a list with one
+    entry per ``StreamingExecutor.execute`` call, each the list of that
+    job's physical operators.  ``len(ray_jobs)`` is the job count."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    jobs = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        ops, stack = [], [dag]
+        while stack:
+            ops.append(stack.pop())
+            stack.extend(ops[-1].input_dependencies)
+        jobs.append(ops)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return jobs

@@ -245,19 +245,21 @@ def test_knn_cellring_equals_bruteforce(ray_session):
     assert a[["qid", "url", "rank"]].equals(b[["qid", "url", "rank"]])
 
 
-def test_knn_cellring_geocodes_once(ray_session):
-    """The refine starts from the materialised geocoded projection: the
-    returned plan re-reads no pages (no Read operator)."""
-    from ray.data._internal.logical.operators.read_operator import Read
+def test_knn_cellring_geocodes_once(ray_session, ray_jobs):
+    """The pages are read and geocoded once: building and consuming
+    ``knn_pages_cellring`` runs exactly three Ray Data jobs — the
+    materialised geocoded projection, the per-cell counts and the
+    refine — and only the first reads."""
+    import ray
+    from ray.data._internal.execution.operators.map_operator import MapOperator
 
     from rios_ray.pipelines.pages import knn_pages_cellring
 
-    ops, stack = [], [knn_pages_cellring("/root/testdata/sf0.001", k=10)._logical_plan.dag]
-    while stack:
-        op = stack.pop()
-        ops.append(op)
-        stack.extend(op.input_dependencies)
-    assert not [op.name for op in ops if isinstance(op, Read)]
+    ray.get(knn_pages_cellring("/root/testdata/sf0.001", k=10).to_arrow_refs())
+    assert len(ray_jobs) == 3
+    reads = [[op for op in job if isinstance(op, MapOperator) and "Read" in op.name]
+             for job in ray_jobs]
+    assert [bool(r) for r in reads] == [True, False, False]
 
 
 def _leftover_temp_tables(d) -> list[str]:
@@ -695,7 +697,7 @@ def test_single_pass_stats_match_close_time_recompute(fixtures, tmp_path):
             assert v == pytest.approx(recomputed[b][k], rel=1e-12), (b, k)
 
 
-def test_single_output_apply_runs_one_job(fixtures, tmp_path, monkeypatch):
+def test_single_output_apply_runs_one_job(fixtures, tmp_path, ray_jobs):
     """A single-output apply with stats and pyramids runs exactly one Ray
     Data job, with no all-to-all exchange: the block tasks read their own
     halos, write the tiles and overview tiles, and send back only the
@@ -706,20 +708,6 @@ def test_single_output_apply_runs_one_job(fixtures, tmp_path, monkeypatch):
     import pyarrow.parquet as pq
     from ray.data._internal.execution.operators.input_data_buffer import InputDataBuffer
     from ray.data._internal.execution.operators.map_operator import MapOperator
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    jobs = []
-    execute = StreamingExecutor.execute
-
-    def counting(self, dag, *args, **kwargs):
-        ops, stack = [], [dag]
-        while stack:
-            ops.append(stack.pop())
-            stack.extend(ops[-1].input_dependencies)
-        jobs.append(ops)
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
 
     def ident(info, inputs, outputs):
         outputs.out = inputs.img
@@ -729,8 +717,8 @@ def test_single_output_apply_runs_one_job(fixtures, tmp_path, monkeypatch):
     out = str(tmp_path / "jobs.parquet")
     apply(ident, {"img": fixtures["ramp"]}, {"out": out}, controls=controls,
           out_dir=str(tmp_path))
-    assert len(jobs) == 1
-    assert all(isinstance(op, (InputDataBuffer, MapOperator)) for op in jobs[0])
+    assert len(ray_jobs) == 1
+    assert all(isinstance(op, (InputDataBuffer, MapOperator)) for op in ray_jobs[0])
     manifest = json.load(open(os.path.join(out, "_grid.json")))
     assert manifest["stats"]["0"]["count"] == 250000
     assert manifest["overviews"]["levels"] == [4, 8]
