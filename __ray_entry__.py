@@ -237,7 +237,7 @@ def _q_lang_counts(sf_dir: str):
     from rios_ray.functions.agg import grouped_count
     from rios_ray.sources.pages import read_pages
 
-    return grouped_count(read_pages(sf_dir, columns=["lang"]), ["lang"], alias="n")
+    return grouped_count(read_pages(sf_dir, columns=["lang"], bundle_files=True), ["lang"], alias="n")
 
 
 def _q_pip_join_pairs(sf_dir: str):

@@ -35,13 +35,13 @@ import numpy as np
 def _calc_one(path: str, include_hist: bool = True, approx: bool = False,
               sample_frac: float = 0.25, seed: int = 42) -> dict:
     import pyarrow.parquet as pq
-    import ray.data
 
+    from .sources.parquet import read_row_groups
     from .sources.tileraster import TileRasterInfo, write_tile_raster
     from .stats import dataset_band_stats
 
     info = TileRasterInfo.read(path)
-    ds = ray.data.read_parquet(path)
+    ds = read_row_groups(path)
     if approx:
         # sampled scan — the reference's approx_ok path computes from
         # pyramid-subsampled pixels (calcstats.py:176-198); a seeded

@@ -60,7 +60,7 @@ def media_table(sf_dir: str) -> ray.data.Dataset:
 
     # payload passthrough is zero-copy; the tag itself is per-url
     # metadata, so a relational-sized batch is fine here
-    return read_pages(sf_dir, columns=["url", "html"]).map_batches(
+    return read_pages(sf_dir, columns=["url", "html"], bundle_files=True).map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
 

@@ -11,6 +11,8 @@ and returns an in-memory Dataset.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
@@ -55,8 +57,8 @@ def geocoded_pages(
     skips the s2 trig and hex cube-rounding per row.
     """
     read_cols = ["url", "warc_ts", "html", "lang"] if keep_ts else ["url", "html", "lang"]
-    # bundle small shard files on full scans; per-shard blocks are kept
-    # when the caller restricts paths (the checkpoint-resume unit)
+    # balanced row-group runs on full scans; one task per shard when the
+    # caller restricts paths (the checkpoint-resume unit)
     ds = read_pages(sf_dir, columns=read_cols, paths=paths,
                     bundle_files=paths is None)
     ds = ds.map_batches(extract_text, batch_format="pyarrow", zero_copy_batch=True,
@@ -96,6 +98,25 @@ def spatial_join(sf_dir: str, **geo_kwargs) -> ray.data.Dataset:
     )
 
 
+def geocells(b: pa.Table, grid_res: int = DEFAULT_GRID_RES, url: bool = False) -> pa.Table:
+    """``lon, lat, cell`` (grid cells only) of a batch of pages, straight
+    off the ``html`` bytes: the geo token regex matches identically with
+    or without the html wrapper, so no extracted-text copy is made.
+    ``url=True`` passes the ``url`` column through in front."""
+    import pyarrow.compute as pc
+
+    from .. import cells as C
+    from ..stages.geocode import GEO_PATTERN
+
+    ex = pc.extract_regex(pc.cast(b["html"], pa.string()), GEO_PATTERN)
+    lat = pc.cast(pc.struct_field(ex, "glat"), pa.float64())
+    lon = pc.cast(pc.struct_field(ex, "glon"), pa.float64())
+    cell = C.grid_cell_id(lon.to_numpy(zero_copy_only=False),
+                          lat.to_numpy(zero_copy_only=False), grid_res)
+    cols = {"url": b["url"]} if url else {}
+    return pa.table({**cols, "lon": lon, "lat": lat, "cell": pa.array(cell)})
+
+
 FLAGSHIP_KEYS = ["cell", "category"]
 FLAGSHIP_AGGS = [(None, "count", "n_pages")]
 
@@ -108,36 +129,20 @@ def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
 
     Lean projection of the general path (the flagship is memory-
     bandwidth-bound once vectorized, so every byte not read or copied
-    is throughput): reads ONLY ``html``, geocodes straight off the
-    html string (the geo token regex matches identically with or
-    without the wrapper — no extracted-text copy), assigns only the
-    grid cell (no s2/hex), and the PIP stage keeps only ``cell``.
+    is throughput): reads ONLY ``html``, geocodes it with
+    :func:`geocells` (grid cell only, no s2/hex), and the PIP stage
+    keeps only ``cell``.
 
     ``paths`` restricts the read to those shard files with one read
-    task per file (the checkpoint-resume unit); a full scan bundles
-    files into size-targeted read tasks.
+    task per file (the checkpoint-resume unit); a full scan reads
+    balanced runs of row groups (``sources.read_pages``).
     """
-    import pyarrow.compute as pc
-
-    from .. import cells as C
     from ..functions.agg import partial_aggregate
-    from ..stages.geocode import GEO_PATTERN
-
-    def geocells(b: pa.Table) -> pa.Table:
-        s = pc.cast(b["html"], pa.string())
-        ex = pc.extract_regex(s, GEO_PATTERN)
-        lat = pc.cast(pc.struct_field(ex, "glat"), pa.float64())
-        lon = pc.cast(pc.struct_field(ex, "glon"), pa.float64())
-        cell = C.grid_cell_id(
-            lon.to_numpy(zero_copy_only=False),
-            lat.to_numpy(zero_copy_only=False),
-            grid_res,
-        )
-        return pa.table({"lon": lon, "lat": lat, "cell": pa.array(cell)})
 
     ds = read_pages(sf_dir, columns=["html"], paths=paths,
                     bundle_files=paths is None).map_batches(
-        geocells, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
+        partial(geocells, grid_res=grid_res), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=BATCH_SIZE,
     )
     joined = ds.map_batches(
         pip_join_fn(polys_ref, keep_cols=["cell"]),
@@ -266,11 +271,10 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
     # the expensive part and must not run twice (round-2 regression).
     # ~30 B/row in the object store; at cluster scale this is the same
     # bounded footprint every shuffle of the projection would need.
-    geo = (
-        geocoded_pages(sf_dir, keep_text=False, families=("grid",))
-        .select_columns(["url", "lon", "lat", "cell"])
-        .materialize()
-    )
+    geo = read_pages(sf_dir, columns=["url", "html"], bundle_files=True).map_batches(
+        partial(geocells, grid_res=grid_res, url=True), batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=BATCH_SIZE,
+    ).materialize()
 
     # pass 1: per-cell counts.  Tree final: cardinality is bounded by
     # the GRID (not the corpus), so per-batch partials + one driver-side
@@ -334,10 +338,10 @@ def knn_pages_cellring(sf_dir: str, k: int = 10,
             "d2": pa_.array(np.concatenate(out_d2), type=pa_.float64()),
         })
 
-    partial = geo.map_batches(
+    cands = geo.map_batches(
         refine, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
     )
-    return gather_final(partial, knn_final_merge_all(k))
+    return gather_final(cands, knn_final_merge_all(k))
 
 
 HOST_RE = r"^[a-z]+://(?P<host>[^/]+)"

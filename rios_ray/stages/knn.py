@@ -13,6 +13,8 @@ scale path (per-worker cell-ring search over a co-partitioned index) is
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
@@ -86,22 +88,17 @@ def knn_final_merge_all(k: int):
     return merge
 
 
-_KNN_CACHE: dict = {}
-
-
 def knn_partial_fn(queries, k: int = 10):
-    """Task-pool variant of :class:`KnnPartialStage` (same per-worker
-    cache rationale as stages.pip.pip_join_fn)."""
-    key = ("knn", getattr(queries, "hex", None) or str(id(queries)), k)
+    """Task-pool variant of :class:`KnnPartialStage`, built once per
+    worker process per query ref (as stages.pip.pip_join_fn)."""
+    import ray
 
-    def fn(batch: pa.Table) -> pa.Table:
-        stage = _KNN_CACHE.get(key)
-        if stage is None:
-            stage = KnnPartialStage(queries, k)
-            _KNN_CACHE[key] = stage
-        return stage(batch)
+    from ..util import cached_stage
 
-    return fn
+    if not isinstance(queries, ray.ObjectRef):
+        queries = ray.put(queries)
+    return partial(cached_stage, "knn", (queries.hex(), k),
+                   partial(KnnPartialStage, queries, k))
 
 
 def ring_candidate_cells(qlon: float, qlat: float, res: int,

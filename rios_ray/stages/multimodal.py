@@ -28,6 +28,8 @@ worker heaps — the streaming executor's backpressure does the rest.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
@@ -67,34 +69,26 @@ def _pixels_table(
     return _pixels_table_flat(base, flat, heights, widths)
 
 
-_FN_CACHE: dict = {}
-
-
 def stage_fn(cls, **kwargs):
-    """Task-pool wrapper for a callable-class stage with a per-worker-
-    process instance cache.
+    """Task-pool wrapper for a callable-class stage, one instance per
+    worker process per (class, ctor args) (``util.cached_stage``).
 
     Actor pools pay a cold start per execution (process spawn +
     re-import); for stages whose ``__init__`` is cheap (codec
     resolution, a few params — no model weights) that spin-up dominates
     short runs: image_ahash measured 4.6 s for a 0.15 s warm kernel at
     sf0.1/32cpus.  Ray *task* workers stay warm across executions, so a
-    module-global cache keyed by (class, ctor args) gives
-    build-once-per-process semantics with zero pool spin-up — the
-    ``stages/pip.py::pip_join_fn`` pattern (BASELINE.md optimization
-    #2).  Use the actor-pool class directly when ``__init__`` is
-    genuinely expensive (real model-loading codecs).
+    per-process cache gives build-once-per-process semantics with zero
+    pool spin-up — the ``stages/pip.py::pip_join_fn`` pattern
+    (BASELINE.md optimization #2).  Each class is its own cache kind, so
+    a fused chain of media stages keeps one instance of each.  Use the
+    actor-pool class directly when ``__init__`` is genuinely expensive
+    (real model-loading codecs).
     """
-    key = (cls, tuple(sorted(kwargs.items())))
+    from ..util import cached_stage
 
-    def fn(b: pa.Table) -> pa.Table:
-        stage = _FN_CACHE.get(key)
-        if stage is None:
-            stage = cls(**kwargs)
-            _FN_CACHE[key] = stage
-        return stage(b)
-
-    return fn
+    return partial(cached_stage, (cls.__module__, cls.__qualname__),
+                   tuple(sorted(kwargs.items())), partial(cls, **kwargs))
 
 
 def fake_decode_batch(

@@ -15,3 +15,26 @@ def default_pool(cap: int = 64) -> tuple[int, int]:
     """
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return (1, max(2, min(cap, cpus)))
+
+
+_STAGES: dict = {}  # stage kind -> (key, stage): the latest build per kind
+
+
+def cached_stage(kind, key, build, batch):
+    """``build()(batch)`` with the stage built once per worker process
+    per ``key``: the reference's build-once-per-process vector layer
+    (``RasterizationMgr``, structures.py:1062-1096) on the shared task
+    pool, with no actor-pool spin-up.
+
+    Bind every argument but ``batch`` with ``functools.partial``.  This
+    function is pickled by reference, so every task a worker runs
+    reaches the one module cache; a nested closure over the cache would
+    ship a by-value copy of it with each task and rebuild every time.
+    Only the latest build per ``kind`` is kept: each pipeline call
+    broadcasts a fresh ref, and an older build is never asked for
+    again."""
+    hit = _STAGES.get(kind)
+    if hit is None or hit[0] != key:
+        hit = _STAGES[kind] = (key, build())
+    return hit[1](batch)
+
