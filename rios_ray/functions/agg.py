@@ -1,4 +1,5 @@
-"""Pre-aggregated (combiner) group-bys with a vectorized final combine.
+"""Pre-aggregated (combiner) group-bys, and the engine's one keyed
+exchange.
 
 Two design decisions, both measured (sf0.1, 32 cpus, 245k partial rows,
 233k groups):
@@ -9,12 +10,17 @@ Two design decisions, both measured (sf0.1, 32 cpus, 245k partial rows,
    so the exchange moves per-batch partials, not data.
 2. **Never use ``Dataset.groupby().aggregate`` for the final combine**:
    Ray's Aggregate operator pays per-*group* Python overhead (measured
-   27-85 s for 233k groups).  Instead, partials are hash-partitioned by
-   a small ``_part`` column (``groupby(_part).map_groups`` with ~P
-   groups is cheap) and each partition is combined with pyarrow's C++
-   ``Table.group_by`` — 0.3 s on the same input, identical results.
-   ``num_partitions`` scales with the cluster; each partition holds
-   only its share of *distinct keys*, not of rows.
+   27-85 s for 233k groups).  Instead the partials go through
+   :func:`hash_partitioned_groups` and each partition is combined with
+   pyarrow's C++ ``Table.group_by`` — 0.3 s on the same input,
+   identical results.
+
+:func:`hash_partitioned_groups` is the only keyed exchange in the
+engine: every key-co-locating stage (aggregates, sessions, joins,
+dedup buckets, skew caps) goes through it.  It owns the key hash
+(:func:`_part_of`) and the partition count (:func:`cluster_partitions`),
+so one key lands in one partition by one policy everywhere, and no
+caller picks a partition count.
 """
 
 from __future__ import annotations
@@ -44,12 +50,17 @@ def _part_of(batch: pa.Table, keys: list[str], num_partitions: int) -> np.ndarra
 
 
 def cluster_partitions() -> int:
-    """Default keyed-exchange partition count: ``max(16, 2 x CPUs)`` —
-    the historical 16 at test scale, every core busy on a real cluster."""
+    """The keyed-exchange partition count: one partition per cluster CPU.
+
+    The sort-based exchange runs one ``partition_fn`` task per non-empty
+    sorted range, so partitions beyond the CPU count only add task
+    waves, each paying the per-task fixed cost.  Measured at 4 CPUs,
+    sf0.1, best of 4: 4 partitions beat 8 and 16 on every
+    exchange-bound entry (``neardup_triangles`` 1.52 / 1.74 / 1.96 s,
+    ``rel_q5`` 0.74 / 0.80 / 0.91 s, the sessions within noise)."""
     import ray
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(16, 2 * cpus)
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
 def rename_aggregates(g: pa.Table, spec: list[tuple], names: list[str]) -> pa.Table:
@@ -66,21 +77,16 @@ def rename_aggregates(g: pa.Table, spec: list[tuple], names: list[str]) -> pa.Ta
 _FINAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
-def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str | None, str, str]],
-                      num_partitions: int | None = None):
+def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str | None, str, str]]):
     """One ``(keys..., aliases...)`` partial row per key per input block
     (the combiner half of :func:`hash_grouped_aggregate`; ``aggs`` as
-    there).  With ``num_partitions`` each partial also carries the
-    ``_part`` hash column a keyed exchange partitions on."""
+    there)."""
     names = [a for _, _, a in aggs]
     spec = [(([] if fn == "count" else c), "count_all" if fn == "count" else fn)
             for c, fn, _ in aggs]
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = rename_aggregates(batch.group_by(keys).aggregate(spec), spec, names)
-        if num_partitions is None:
-            return g
-        return g.append_column("_part", pa.array(_part_of(g, keys, num_partitions)))
+        return rename_aggregates(batch.group_by(keys).aggregate(spec), spec, names)
 
     # batch_size=None: one partial per input block.  A row-count batch
     # here would also drive Ray's task bundling (min_rows_per_bundle)
@@ -151,7 +157,6 @@ def hash_grouped_aggregate(
     ds,
     keys: list[str],
     aggs: list[tuple[str | None, str, str]],
-    num_partitions: int | None = None,
     final_mode: str = "partition",
 ):
     """General partial+final aggregate: ``aggs`` is a list of
@@ -160,59 +165,48 @@ def hash_grouped_aggregate(
 
     ``final_mode``:
 
-    - ``"partition"`` (default): hash-partition partials on the keys,
-      combine per partition — scales to unbounded key cardinality
-      (dedup md5s, pair keys).
+    - ``"partition"`` (default): combine the partials per partition of
+      the keyed exchange (:func:`hash_partitioned_groups`) — scales to
+      unbounded key cardinality (dedup md5s, pair keys).
     - ``"tree"``: gather all partials to the driver and combine once
       (:func:`combine_tree`) — no keyed exchange (the sort barrier costs
       a serial tail, measured ~2 s at sf0.5).  Use ONLY when the
       distinct-key count is bounded (grid cells x categories), since
       the driver holds every partial.  Executes eagerly.
     """
+    partials = partial_aggregate(ds, keys, aggs)
     if final_mode == "tree":
-        return combine_tree(partial_aggregate(ds, keys, aggs), keys, aggs)
-
-    def final(b: pa.Table) -> pa.Table:
-        return combine_partials(b, keys, aggs)
-
-    if num_partitions is None:
-        num_partitions = cluster_partitions()
+        return combine_tree(partials, keys, aggs)
     # coalesce partial blocks to the partition count before the keyed
     # exchange: the sort shuffle spawns one map + one reduce task per
     # block, so 210 tiny partial blocks cost 420 near-empty tasks of
     # pure dispatch overhead (measured 6 s wall for 0.2 s of work);
-    # 16 coalesced blocks -> 32 tasks
-    return (
-        partial_aggregate(ds, keys, aggs, num_partitions)
-        .repartition(num_partitions)
-        .groupby("_part")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    # P coalesced blocks -> 2P tasks
+    return hash_partitioned_groups(
+        partials.repartition(cluster_partitions()), keys,
+        lambda t: combine_partials(t, keys, aggs))
 
 
-def hash_partitioned_groups(ds, keys: list[str], partition_fn,
-                            num_partitions: int | None = None):
-    """Co-locate every key group into one of ``num_partitions`` hash
-    partitions, then run ``partition_fn`` ONCE per partition over the
-    whole partition table (all groups of that partition at once).
+def hash_partitioned_groups(ds, keys: list[str], partition_fn):
+    """The engine's keyed exchange: co-locate every key group in one of
+    :func:`cluster_partitions` hash partitions, then run
+    ``partition_fn`` ONCE per partition over the whole partition table
+    (all groups of that partition at once).
 
-    ``num_partitions=None`` (default) sizes the exchange to the cluster:
-    ``max(16, 2 x total CPUs)`` — at test scale that is the historical
-    16, on a 256-node cluster it keeps every core busy in the
-    per-partition stage.  Results are partition-count-invariant (every
-    caller's fn emits per-group output), so this is purely a
-    parallelism knob.
+    A key's partition is :func:`_part_of` of its key columns, the same
+    for every caller.  Results do not depend on the partition count
+    (every ``partition_fn`` emits per-group output); the count only
+    bounds how many key groups share one ``partition_fn`` call.
 
     Replacement for ``groupby(keys).map_groups(fn)`` when group count is
     large: Ray's map_groups pays per-group Python overhead (measured
     ~0.1-0.2 ms/group — minutes at web-scale cardinality), while here
-    the keyed exchange has exactly P groups and the caller's fn is
+    the keyed exchange has at most P groups and the caller's fn is
     vectorized over all buckets (lexsort + boundary scan / reduceat).
     ``partition_fn`` receives a ``pa.Table`` without the ``_part``
     column and must handle multiple key groups itself.
     """
-    if num_partitions is None:
-        num_partitions = cluster_partitions()
+    num_partitions = cluster_partitions()
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -231,12 +225,9 @@ def hash_partitioned_groups(ds, keys: list[str], partition_fn,
     )
 
 
-def grouped_count(ds, keys: list[str], alias: str = "n", num_partitions: int | None = None,
-                  final_mode: str = "partition"):
+def grouped_count(ds, keys: list[str], alias: str = "n", final_mode: str = "partition"):
     """count(*) per key group, pre-aggregated per batch."""
-    return hash_grouped_aggregate(
-        ds, keys, [(None, "count", alias)], num_partitions, final_mode
-    )
+    return hash_grouped_aggregate(ds, keys, [(None, "count", alias)], final_mode)
 
 
 def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool],
@@ -261,8 +252,44 @@ def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool],
     return gather_final(local, top)
 
 
-def grouped_quantiles(ds, key: str, value_col: str, qs: list[float],
-                      num_partitions: int | None = None):
+def key_codes(col) -> np.ndarray:
+    """Integer codes for a key column, equal exactly where the keys are
+    equal: a string key's dictionary indices, any other key's values.
+    Run boundaries of a key-sorted column are where the codes change."""
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return col.dictionary_encode().indices.to_numpy(zero_copy_only=False)
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _quantile_pick(tbl: pa.Table, key: str, value_col: str,
+                   qs: np.ndarray) -> pa.Table:
+    """(key, q, value): for every key of ``tbl`` and every q in the
+    sorted ``qs``, the ``ceil(q*n) - 1``-th smallest ``value_col`` of
+    its n rows — one composite Arrow sort and a vectorized
+    (groups x qs) fancy-index pick, no per-group Python."""
+    import pyarrow.compute as pc
+
+    if tbl.num_rows == 0:
+        return pa.table({key: tbl[key], "q": pa.array([], type=pa.float64()),
+                         "value": pa.array([], type=pa.float64())})
+    tbl = tbl.sort_by([(key, "ascending"), (value_col, "ascending")])
+    kcol = tbl[key].combine_chunks()
+    codes = key_codes(kcol)
+    starts = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
+    n_g = np.diff(np.append(starts, len(codes)))
+    pick = np.ceil(qs[None, :] * n_g[:, None]).astype(np.int64) - 1
+    pick = np.clip(pick, 0, (n_g - 1)[:, None])
+    rows = (starts[:, None] + pick).ravel()
+    vals = tbl[value_col].to_numpy(zero_copy_only=False)
+    return pa.table({
+        key: pc.take(kcol, pa.array(np.repeat(starts, len(qs)))),
+        "q": pa.array(np.tile(qs, len(starts))),
+        "value": pa.array(vals[rows], type=pa.float64()),
+    })
+
+
+def grouped_quantiles(ds, key: str, value_col: str, qs: list[float]):
     """Exact per-group discrete quantiles: for every key, the
     ``ceil(q*n) - 1``-th order statistic of ``value_col`` (ANSI
     ``quantile_disc`` semantics) for each q.
@@ -277,39 +304,12 @@ def grouped_quantiles(ds, key: str, value_col: str, qs: list[float],
     Output: (key, q, value), one row per key per q.
     """
     qs_arr = np.asarray(sorted(qs), dtype=np.float64)
-
-    def per_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({key: tbl[key], "q": pa.array([], type=pa.float64()),
-                             "value": pa.array([], type=pa.float64())})
-        tbl = tbl.sort_by([(key, "ascending"), (value_col, "ascending")])
-        kcol = tbl[key].combine_chunks()
-        if pa.types.is_string(kcol.type) or pa.types.is_large_string(kcol.type):
-            codes = kcol.dictionary_encode().indices.to_numpy(zero_copy_only=False)
-        else:
-            codes = kcol.to_numpy(zero_copy_only=False)
-        new = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new)
-        n_g = np.diff(np.append(starts, len(codes)))
-        vals = tbl[value_col].to_numpy(zero_copy_only=False)
-        pick = np.ceil(qs_arr[None, :] * n_g[:, None]).astype(np.int64) - 1
-        pick = np.clip(pick, 0, (n_g - 1)[:, None])
-        rows = (starts[:, None] + pick).ravel()
-        import pyarrow.compute as pc
-
-        out_keys = pc.take(kcol, pa.array(np.repeat(starts, len(qs_arr))))
-        return pa.table({
-            key: out_keys,
-            "q": pa.array(np.tile(qs_arr, len(starts))),
-            "value": pa.array(vals[rows], type=pa.float64()),
-        })
-
-    return hash_partitioned_groups(ds, [key], per_partition, num_partitions)
+    return hash_partitioned_groups(
+        ds, [key], lambda t: _quantile_pick(t, key, value_col, qs_arr))
 
 
 def grouped_quantiles_sketch(ds, key: str, value_col: str, qs: list[float],
-                             capacity: int = 4096, id_col: str | None = None,
-                             num_partitions: int | None = None):
+                             capacity: int = 4096, id_col: str | None = None):
     """Approximate per-group quantiles via a MERGEABLE bottom-k sample.
 
     Each row gets a u64 hash priority from ``id_col`` (unique per row);
@@ -338,15 +338,9 @@ def grouped_quantiles_sketch(ds, key: str, value_col: str, qs: list[float],
             x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             return x ^ (x >> np.uint64(31))
 
-    def _codes(kcol) -> np.ndarray:
-        kcol = kcol.combine_chunks() if isinstance(kcol, pa.ChunkedArray) else kcol
-        if pa.types.is_string(kcol.type) or pa.types.is_large_string(kcol.type):
-            return kcol.dictionary_encode().indices.to_numpy(zero_copy_only=False)
-        return kcol.to_numpy(zero_copy_only=False)
-
     def _bottom_k(tbl: pa.Table) -> pa.Table:
         """Keep each group's ``capacity`` lowest-priority rows."""
-        codes = _codes(tbl[key])
+        codes = key_codes(tbl[key])
         prio = tbl["_prio"].to_numpy(zero_copy_only=False)
         order = np.lexsort((prio, codes))
         codes_s = codes[order]
@@ -370,30 +364,10 @@ def grouped_quantiles_sketch(ds, key: str, value_col: str, qs: list[float],
     )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({key: tbl[key], "q": pa.array([], type=pa.float64()),
-                             "value": pa.array([], type=pa.float64())})
-        tbl = _bottom_k(tbl)  # merge: min-k over the union of partials
-        tbl = tbl.sort_by([(key, "ascending"), ("value", "ascending")])
-        kcol = tbl[key].combine_chunks()
-        codes = _codes(kcol)
-        new = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new)
-        n_g = np.diff(np.append(starts, len(codes)))
-        vals = tbl["value"].to_numpy(zero_copy_only=False)
-        pick = np.ceil(qs_arr[None, :] * n_g[:, None]).astype(np.int64) - 1
-        pick = np.clip(pick, 0, (n_g - 1)[:, None])
-        rows = (starts[:, None] + pick).ravel()
-        import pyarrow.compute as pc
+        # merge: min-k over the union of partials, then the exact pick
+        return _quantile_pick(_bottom_k(tbl), key, "value", qs_arr)
 
-        out_keys = pc.take(kcol, pa.array(np.repeat(starts, len(qs_arr))))
-        return pa.table({
-            key: out_keys,
-            "q": pa.array(np.tile(qs_arr, len(starts))),
-            "value": pa.array(vals[rows], type=pa.float64()),
-        })
-
-    return hash_partitioned_groups(partials, [key], finish, num_partitions)
+    return hash_partitioned_groups(partials, [key], finish)
 
 
 # --- exact (order-independent) float summation -----------------------------
@@ -458,7 +432,6 @@ def _buckets_to_float(d: dict[int, int]) -> float:
 def grouped_exact_float_sum(
     ds, keys: list[str], value_col: str,
     out_sum: str = "sum_value", out_n: str = "n",
-    num_partitions: int | None = None,
 ):
     """(keys..., out_sum, out_n): per-group float64 sum that is
     BIT-IDENTICAL to ``math.fsum`` over the group's values, independent
@@ -547,8 +520,7 @@ def grouped_exact_float_sum(
         )
         return pa.Table.from_pylist(out_rows, schema=out_schema)
 
-    return hash_partitioned_groups(parts, keys, merge,
-                                   num_partitions=num_partitions)
+    return hash_partitioned_groups(parts, keys, merge)
 
 
 def _exact_int_sum(term) -> int:

@@ -94,7 +94,6 @@ def connected_components(
     edges,
     col_a: str = "doc_a",
     col_b: str = "doc_b",
-    num_partitions: int | None = None,
     max_iters: int = 64,
 ):
     """Label every node of the (int64-keyed) pair graph with the min
@@ -156,7 +155,6 @@ def connected_components(
         ),
         ["node"],
         init_merge,
-        num_partitions,
     ).materialize()
 
     for _ in range(max_iters):
@@ -169,7 +167,6 @@ def connected_components(
             "node",
             [("dst", pa.int64())],
             [("label", pa.int64(), "label")],
-            num_partitions,
         )
 
         def msg_rows(b: pa.Table) -> pa.Table:
@@ -197,9 +194,7 @@ def connected_components(
                 self_label_rows, batch_format="pyarrow", zero_copy_batch=True
             )
         )
-        labels = hash_partitioned_groups(
-            u, ["node"], _min_label_merge, num_partitions
-        ).materialize()
+        labels = hash_partitioned_groups(u, ["node"], _min_label_merge).materialize()
 
         # pointer-halving compression: attach each node's label's label
         # (labels are always ids of nodes present in the table) and take
@@ -213,7 +208,6 @@ def connected_components(
             "node",
             [("node", pa.int64()), ("label", pa.int64()), ("changed", pa.int8())],
             [("label", pa.int64(), "label2")],
-            num_partitions,
         )
 
         def compress(b: pa.Table) -> pa.Table:

@@ -5,11 +5,11 @@ per call — measured multi-second fixed cost per join even on tiny
 inputs, and two chained joins serialize their pools.  For the common
 case of this engine (attach columns from a side keyed UNIQUELY by the
 join key, or semi-join filter against such a side), the same exchange
-is expressible as: tag both sides with a deterministic key-hash
-partition id, union them (one streamed keyed exchange with exactly
-``num_partitions`` groups), and gather within each partition with a
-vectorized argsort + searchsorted.  Shuffle volume is identical to a
-hash join; the per-call fixed cost is one ``groupby``.
+is expressible as: union both sides, run them through the engine's one
+keyed exchange (``agg.hash_partitioned_groups``) on the join key, and
+gather within each partition with a vectorized argsort + searchsorted.
+Shuffle volume is identical to a hash join; the per-call fixed cost is
+one ``groupby``.
 
 This is the J1 "multi-input alignment" pattern of the reference
 (``/root/reference/rios/structures.py:587-616``) applied to relational
@@ -60,7 +60,6 @@ def partitioned_lookup_join(
     right_key: str,
     left_cols: list[tuple[str, pa.DataType]],
     attach_cols: list[tuple[str, pa.DataType, str]],
-    num_partitions: int | None = None,
 ):
     """Inner lookup join: keep left rows whose ``left_key`` exists in
     ``right`` (keyed uniquely by ``right_key``), attaching each
@@ -135,7 +134,7 @@ def partitioned_lookup_join(
             cols[out] = pc.take(tbl.column("_r_" + rcol).combine_chunks(), pa.array(src))
         return pa.table(cols)
 
-    return hash_partitioned_groups(u, ["_key"], gather, num_partitions)
+    return hash_partitioned_groups(u, ["_key"], gather)
 
 
 def partitioned_exists_join(
@@ -144,7 +143,6 @@ def partitioned_exists_join(
     left_key: str,
     right_key: str,
     left_cols: list[tuple[str, pa.DataType]],
-    num_partitions: int | None = None,
     anti: bool = False,
 ):
     """Distributed EXISTS (semi) / NOT EXISTS (anti) join: keep left
@@ -204,7 +202,7 @@ def partitioned_exists_join(
             return empty()
         return tbl.select(l_names).take(pa.array(lkeep))
 
-    return hash_partitioned_groups(u, ["_key"], gather, num_partitions)
+    return hash_partitioned_groups(u, ["_key"], gather)
 
 
 def auto_lookup_join(
@@ -214,7 +212,6 @@ def auto_lookup_join(
     right_key: str,
     left_cols: list[tuple[str, pa.DataType]],
     attach_cols: list[tuple[str, pa.DataType, str]],
-    num_partitions: int | None = None,
 ):
     """Strategy-selecting lookup join: when the (uniquely-keyed) right
     side :func:`fits_broadcast` it is collected once, sorted, shipped
@@ -231,8 +228,7 @@ def auto_lookup_join(
     right_mat = right.materialize()
     if not fits_broadcast(right_mat):
         return partitioned_lookup_join(
-            left, right_mat, left_key, right_key, left_cols, attach_cols,
-            num_partitions,
+            left, right_mat, left_key, right_key, left_cols, attach_cols
         )
 
     blocks = [t for t in ray.get(right_mat.to_arrow_refs()) if t.num_rows]

@@ -44,17 +44,6 @@ NUM_PERM = 256
 N_BANDS = 64
 
 
-def _default_join_partitions() -> int:
-    """Join parallelism sized to the session: each hash-join spawns
-    ``num_partitions`` aggregator actors, and two chained joins at 16
-    partitions starve a 4-CPU session (measured: >6 min vs 15 s at 4).
-    On a real cluster callers pass an explicit value ~ total cores.
-    """
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, min(16, cpus))
-
 # SQL fragment mirrored by dup_corpus() — kept next to the code it must
 # match; __ray_entry__ imports it for the oracle.
 DUP_CORPUS_SQL = f"""
@@ -327,7 +316,7 @@ def minhash_candidates(
     ).drop_columns(["_nb"])
 
 
-def _attach_texts(pairs, docs, key_col: str, out_col: str, num_partitions: int):
+def _attach_texts(pairs, docs, key_col: str, out_col: str):
     """Hash-partitioned lookup join: attach each pair's ``key_col``
     document text as ``out_col`` (same exchange volume as a hash join,
     none of Ray's join-operator actor-pool fixed cost — measured: two
@@ -343,7 +332,6 @@ def _attach_texts(pairs, docs, key_col: str, out_col: str, num_partitions: int):
         "doc_id",
         left_cols,
         [("text", pa.string(), out_col)],
-        num_partitions,
     )
 
 
@@ -383,17 +371,14 @@ def minhash_pairs(
     threshold: float = 0.5,
     num_perm: int = NUM_PERM,
     n_bands: int = N_BANDS,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_a, doc_b, jaccard): LSH candidates verified with exact
     Jaccard — same output as :func:`jaccard_pairs` wherever LSH recall
     is 1 (see module docstring for the recall bound)."""
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     cands = minhash_candidates(sf_dir, ngram, num_perm, n_bands)
     docs = read_documents(sf_dir, columns=["doc_id", "text"])
-    j = _attach_texts(cands, docs, "doc_a", "text_a", num_partitions)
-    j = _attach_texts(j, docs, "doc_b", "text_b", num_partitions)
+    j = _attach_texts(cands, docs, "doc_a", "text_a")
+    j = _attach_texts(j, docs, "doc_b", "text_b")
     return j.map_batches(
         _verify_jaccard(threshold, ngram),
         batch_format="pyarrow",
@@ -517,7 +502,6 @@ def minhash_clusters(
     sf_dir: str,
     ngram: int = DEFAULT_NGRAM,
     threshold: float = 0.5,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, cluster_id) for every document in a near-duplicate
     pair: the fuzzy-dedup completion step.  Verified MinHash pairs
@@ -529,14 +513,8 @@ def minhash_clusters(
     """
     from ..functions.graph import connected_components
 
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
-    pairs = minhash_pairs(
-        sf_dir, ngram=ngram, threshold=threshold, num_partitions=num_partitions
-    )
-    cc = connected_components(
-        pairs, "doc_a", "doc_b", num_partitions=num_partitions
-    )
+    pairs = minhash_pairs(sf_dir, ngram=ngram, threshold=threshold)
+    cc = connected_components(pairs, "doc_a", "doc_b")
 
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["node"], "cluster_id": b["cluster_id"]})
@@ -652,7 +630,6 @@ def edit_distance_pairs(
     max_dist: int | None = None,
     num_perm: int = NUM_PERM,
     n_bands: int = N_BANDS,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_a, doc_b, edit_dist): exact Levenshtein distance for every
     verified near-duplicate pair — the character-level verification
@@ -667,14 +644,11 @@ def edit_distance_pairs(
     count — not corpus size — bounds the DP cost, and pairs are already
     df-capped upstream.
     """
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
-    pairs = minhash_pairs(sf_dir, ngram, threshold, num_perm, n_bands,
-                          num_partitions)
+    pairs = minhash_pairs(sf_dir, ngram, threshold, num_perm, n_bands)
     docs = read_documents(sf_dir, columns=["doc_id", "text"])
     j = _attach_texts(pairs.select_columns(["doc_a", "doc_b"]), docs,
-                      "doc_a", "text_a", num_partitions)
-    j = _attach_texts(j, docs, "doc_b", "text_b", num_partitions)
+                      "doc_a", "text_a")
+    j = _attach_texts(j, docs, "doc_b", "text_b")
 
     def dist(b: pa.Table) -> pa.Table:
         from ..text.analysis import levenshtein_batch
@@ -703,7 +677,6 @@ def neardup_pagerank(
     threshold: float = 0.5,
     iters: int = 2,
     damping: float = 0.85,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, rank): PageRank over the undirected near-duplicate
     graph — which documents sit at the CENTER of duplicate families
@@ -730,11 +703,7 @@ def neardup_pagerank(
 
     from ..functions.agg import grouped_exact_float_sum, hash_grouped_aggregate
 
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
-    pairs = minhash_pairs(
-        sf_dir, ngram=ngram, threshold=threshold, num_partitions=num_partitions
-    )
+    pairs = minhash_pairs(sf_dir, ngram=ngram, threshold=threshold)
 
     def symmetrize(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -752,9 +721,7 @@ def neardup_pagerank(
         symmetrize, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=BATCH_SIZE,
     ).materialize()
-    deg_ds = hash_grouped_aggregate(
-        edges, ["src"], [(None, "count", "deg")], num_partitions
-    ).materialize()
+    deg_ds = hash_grouped_aggregate(edges, ["src"], [(None, "count", "deg")]).materialize()
     n_nodes = deg_ds.count()
     if n_nodes == 0:
         return ray.data.from_arrow(
@@ -785,9 +752,7 @@ def neardup_pagerank(
             sums = grouped_exact_float_sum(
                 edges.map_batches(contrib, batch_format="pyarrow",
                                   zero_copy_batch=True, batch_size=None),
-                ["dst"], "c", out_sum="s", out_n="_n",
-                num_partitions=num_partitions,
-            ).to_pandas()
+                ["dst"], "c", out_sum="s", out_n="_n").to_pandas()
             s = np.zeros(n_nodes, dtype=np.float64)
             pos = np.searchsorted(nodes, sums["dst"].to_numpy())
             s[pos] = sums["s"].to_numpy()
@@ -819,13 +784,9 @@ def neardup_pagerank(
             edges, ranks, "src", "node",
             [("dst", pa.int64())],
             [("rank", pa.float64(), "rank"), ("deg", pa.float64(), "deg")],
-            num_partitions,
         ).map_batches(with_contrib, batch_format="pyarrow",
                       zero_copy_batch=True, batch_size=None)
-        sums = grouped_exact_float_sum(
-            joined, ["dst"], "c", out_sum="s", out_n="_n",
-            num_partitions=num_partitions,
-        )
+        sums = grouped_exact_float_sum(joined, ["dst"], "c", out_sum="s", out_n="_n")
 
         def update(b: pa.Table) -> pa.Table:
             s = b["s"].to_numpy(zero_copy_only=False)
@@ -839,7 +800,6 @@ def neardup_pagerank(
             sums, deg_ds, "dst", "src",
             [("dst", pa.int64()), ("s", pa.float64())],
             [("deg", pa.int64(), "deg")],
-            num_partitions,
         ).map_batches(update, batch_format="pyarrow",
                       zero_copy_batch=True, batch_size=None).materialize()
 
@@ -878,7 +838,6 @@ def neardup_triangles(
     sf_dir: str,
     ngram: int = DEFAULT_NGRAM,
     threshold: float = 0.5,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, n_triangles): per-document triangle count in the
     near-duplicate graph — the local clustering signal (a document in
@@ -901,11 +860,8 @@ def neardup_triangles(
     """
     from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
 
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
-    pairs = minhash_pairs(
-        sf_dir, ngram=ngram, threshold=threshold, num_partitions=num_partitions
-    ).select_columns(["doc_a", "doc_b"]).materialize()
+    pairs = minhash_pairs(sf_dir, ngram=ngram, threshold=threshold).select_columns(
+        ["doc_a", "doc_b"]).materialize()
 
     # degree per endpoint (undirected)
     def both_ends(b: pa.Table) -> pa.Table:
@@ -917,8 +873,7 @@ def neardup_triangles(
     deg = hash_grouped_aggregate(
         pairs.map_batches(both_ends, batch_format="pyarrow",
                           zero_copy_batch=True, batch_size=None),
-        ["node"], [(None, "count", "deg")], num_partitions,
-    ).to_pandas().sort_values("node")
+        ["node"], [(None, "count", "deg")]).to_pandas().sort_values("node")
     nodes = deg["node"].to_numpy()
     degs = deg["deg"].to_numpy().astype(np.int64)
     deg_ref = ray.put((nodes, degs))
@@ -994,9 +949,7 @@ def neardup_triangles(
             return pa.table({"node": pa.array(u, type=pa.int64()),
                              "n_part": pa.array(c, type=pa.int64())})
 
-        partials = hash_partitioned_groups(
-            oriented, ["src"], close_wedges, num_partitions=num_partitions
-        )
+        partials = hash_partitioned_groups(oriented, ["src"], close_wedges)
     else:
         def wedges(t: pa.Table) -> pa.Table:
             dks, dds = ray.get(deg_ref)
@@ -1014,9 +967,7 @@ def neardup_triangles(
                 "b2": pa.array(b2, type=pa.int64()),
             })
 
-        wedge_ds = hash_partitioned_groups(
-            oriented, ["src"], wedges, num_partitions=num_partitions
-        )
+        wedge_ds = hash_partitioned_groups(oriented, ["src"], wedges)
 
         # Exact closure: the closing edge (b1 -> b2) is stored oriented
         # with src == b1 (out-neighbors were ordered by the same
@@ -1061,7 +1012,7 @@ def neardup_triangles(
                 "b2": pa.array(m["b2"].to_numpy().astype(np.int64)),
             })
 
-        closed = hash_partitioned_groups(u, ["b1"], verify, num_partitions)
+        closed = hash_partitioned_groups(u, ["b1"], verify)
 
         def corners(t: pa.Table) -> pa.Table:
             allc = np.concatenate([
@@ -1078,9 +1029,7 @@ def neardup_triangles(
             batch_size=None,
         )
 
-    out = hash_grouped_aggregate(
-        partials, ["node"], [("n_part", "sum", "n_triangles")], num_partitions
-    )
+    out = hash_grouped_aggregate(partials, ["node"], [("n_part", "sum", "n_triangles")])
 
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["node"], "n_triangles": b["n_triangles"]})

@@ -385,11 +385,7 @@ def cosine_neardup_lsh(
         batch_size=BATCH_SIZE,
         concurrency=default_pool(),
     )
-    from ..functions.agg import (
-        cluster_partitions,
-        hash_grouped_aggregate,
-        hash_partitioned_groups,
-    )
+    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
     from ..functions.join import partitioned_lookup_join
 
     cand = hash_partitioned_groups(bands, ["band", "key"], bucket_pairs)
@@ -419,16 +415,15 @@ def cosine_neardup_lsh(
             batch_size=BATCH_SIZE,
         )
 
-    num_parts = cluster_partitions()
     with_a = partitioned_lookup_join(
         cand, emb_side(), "vec_a", "vec_id",
         [("vec_a", pa.int64()), ("vec_b", pa.int64())],
-        [("emb_n", emb_t, "emb_a")], num_parts,
+        [("emb_n", emb_t, "emb_a")],
     )
     with_b = partitioned_lookup_join(
         with_a, emb_side(), "vec_b", "vec_id",
         [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("emb_a", emb_t)],
-        [("emb_n", emb_t, "emb_b")], num_parts,
+        [("emb_n", emb_t, "emb_b")],
     )
 
     def score(b: pa.Table) -> pa.Table:

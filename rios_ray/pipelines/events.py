@@ -13,7 +13,7 @@ streams, expressed Ray-Data-first:
   key row, NOT the payload, then the same grouped aggregate.  Fan-out
   is the overlap factor, known statically.
 - **Session** (gap-based, per user): the one genuinely stateful window.
-  Rows are hash-partitioned by user (``_part`` exchange, vectorized —
+  Rows are hash-partitioned by user (the keyed exchange, vectorized —
   not per-user ``map_groups``); inside a partition one sort by
   (user, ts) + a cumsum over gap flags assigns session ids to every
   event at numpy speed.  The partitioning assumption (all of a user's
@@ -31,9 +31,15 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from ..functions.agg import global_int_sums, hash_grouped_aggregate
+from ..functions.agg import (
+    global_int_sums,
+    hash_grouped_aggregate,
+    hash_partitioned_groups,
+    key_codes,
+)
 from ..sources.documents import read_table
 
 HOUR_US = 3_600_000_000
@@ -97,79 +103,54 @@ def sliding_counts(
     return hash_grouped_aggregate(ds, ["window"], [(None, "count", "n_events")])
 
 
-def session_windows(
-    sf_dir: str,
-    gap_us: int = DEFAULT_GAP_US,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
+def gap_sessions(g: pa.Table, key: str, gap_us: int, count_name: str) -> pa.Table:
+    """One row per gap session of every key in ``g`` (columns ``key``
+    and ``e``, an int64 epoch in microseconds): (key, session_id,
+    ``count_name``, t_start, t_end), session_id counting 0.. per key in
+    ``e`` order.  A session starts at a key's first row and after every
+    gap longer than ``gap_us``.  One composite sort + a vectorized gap
+    cumsum over the whole table; no per-key Python."""
+    g = g.sort_by([(key, "ascending"), ("e", "ascending")])
+    kcol = g[key].combine_chunks()
+    e = g["e"].to_numpy(zero_copy_only=False)
+    if len(e) == 0:
+        empty = pa.array([], type=pa.int64())
+        return pa.table({key: kcol, "session_id": empty, count_name: empty,
+                         "t_start": empty, "t_end": empty})
+    codes = key_codes(kcol)
+    new_key = np.concatenate([[True], codes[1:] != codes[:-1]])
+    gap = np.concatenate([[True], (e[1:] - e[:-1]) > gap_us])
+    sess_start = np.flatnonzero(new_key | gap)
+    key_first = new_key[sess_start]                 # session opens its key
+    first_pos = np.flatnonzero(key_first)           # key ordinal -> session index
+    key_ord = np.cumsum(key_first) - 1              # session -> key ordinal
+    return pa.table({
+        key: pc.take(kcol, pa.array(sess_start)),
+        "session_id": pa.array(np.arange(len(sess_start)) - first_pos[key_ord]),
+        count_name: pa.array(np.diff(np.append(sess_start, len(e))).astype(np.int64)),
+        "t_start": pa.array(e[sess_start]),
+        "t_end": pa.array(np.maximum.reduceat(e, sess_start)),
+    })
+
+
+def session_windows(sf_dir: str, gap_us: int = DEFAULT_GAP_US) -> ray.data.Dataset:
     """Gap-based sessionization per user.
 
     Output one row per session: (user_id, session_id, n_events,
     t_start, t_end) with session_id counting 0.. per user in ts order.
-    Co-location contract: a user's events are hash-partitioned to one
-    partition; the per-partition kernel is one sort + vectorized gap
-    cumsum (no per-user Python).
+    Co-location contract: the keyed exchange puts all of a user's
+    events in one partition; the per-partition kernel is
+    :func:`gap_sessions`.
     """
 
-    if num_partitions is None:
-        from ..functions.agg import cluster_partitions
-
-        num_partitions = cluster_partitions()
-
-    def add_part(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = (u * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_partitions)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "e": pa.array(_epoch_us(b)),
-                "_part": pa.array(part.astype(np.int64)),
-            }
-        )
-
-    def sessionize(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("user_id", "ascending"), ("e", "ascending")])
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        e = g["e"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "session_id": pa.array([], type=pa.int64()),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "t_start": pa.array([], type=pa.int64()),
-                    "t_end": pa.array([], type=pa.int64()),
-                }
-            )
-        new_user = np.concatenate([[True], u[1:] != u[:-1]])
-        gap = np.concatenate([[True], (e[1:] - e[:-1]) > gap_us])
-        new_session = new_user | gap
-        sess_start = np.flatnonzero(new_session)
-        sess_user = u[sess_start]
-        user_first_sess = np.concatenate(
-            [[True], sess_user[1:] != sess_user[:-1]]
-        )
-        user_ord = np.cumsum(user_first_sess) - 1      # session -> user ordinal
-        first_pos = np.flatnonzero(user_first_sess)    # user ordinal -> session index
-        per_user_sid = np.arange(len(sess_start)) - first_pos[user_ord]
-        counts = np.add.reduceat(np.ones_like(e), sess_start)
-        t_start = e[sess_start]
-        t_end = np.maximum.reduceat(e, sess_start)
-        return pa.table(
-            {
-                "user_id": pa.array(sess_user),
-                "session_id": pa.array(per_user_sid),
-                "n_events": pa.array(counts.astype(np.int64)),
-                "t_start": pa.array(t_start),
-                "t_end": pa.array(t_end),
-            }
-        )
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"user_id": b["user_id"], "e": pa.array(_epoch_us(b))})
 
     ds = read_events(sf_dir, columns=["user_id", "ts"]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
+        project, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
     )
-    return ds.groupby("_part").map_groups(sessionize, batch_format="pyarrow")
+    return hash_partitioned_groups(
+        ds, ["user_id"], lambda g: gap_sessions(g, "user_id", gap_us, "n_events"))
 
 
 def distinct_users(sf_dir: str, window_us: int = DEFAULT_WINDOW_US):
@@ -184,7 +165,7 @@ def distinct_users(sf_dir: str, window_us: int = DEFAULT_WINDOW_US):
     count is bounded by the time range).  No global distinct set is
     ever materialized anywhere.
     """
-    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups, rename_aggregates
+    from ..functions.agg import rename_aggregates
 
     def pairs(b: pa.Table) -> pa.Table:
         w = _epoch_us(b) // window_us
@@ -306,8 +287,6 @@ def distinct_users_hll(sf_dir: str, window_us: int = DEFAULT_WINDOW_US):
     per-(window,user) register sidecar (:func:`ensure_hll_sidecar`).
     """
     import pandas as pd
-
-    from ..functions.agg import hash_partitioned_groups
 
     m = 1 << HLL_P
 
@@ -490,10 +469,6 @@ def asof_last_event(sf_dir: str, left_type: str = "click",
     on.  Output timestamps are epoch microseconds (int64; null when no
     prior right event exists).
     """
-    import pyarrow.compute as pc
-
-    from ..functions.agg import hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_in(b["event_type"], value_set=pa.array([left_type, right_type]))
         b = b.filter(keep)
@@ -570,10 +545,6 @@ def range_join_counts(sf_dir: str, left_type: str = "click",
     extends past the observed time span never bleeds into a neighbouring
     user's key range.
     """
-    import pyarrow.compute as pc
-
-    from ..functions.agg import hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_in(b["event_type"], value_set=pa.array([left_type, right_type]))
         b = b.filter(keep)
@@ -636,7 +607,6 @@ def top_users_per_window(
     (``stages.skew.ranked_head_per_key``) — no global sort, and the
     exchange moves (window, user) partials, not events.
     """
-    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
     from ..stages.skew import ranked_head_per_key
 
     def assign(b: pa.Table) -> pa.Table:
@@ -732,10 +702,6 @@ def funnel_conversions(
     Output: (user_id, n_from, n_converted) for users with >= 1
     ``from_type`` event.
     """
-    import pyarrow.compute as pc
-
-    from ..functions.agg import hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         keep = pc.is_in(b["event_type"], value_set=pa.array([from_type, to_type]))
         b = b.filter(keep)
@@ -886,8 +852,6 @@ def retention_cohorts(
     scan, and the final count is combiner-first over (cohort, offset)
     keys bounded by windows^2.
     """
-    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
-
     def assign(b: pa.Table) -> pa.Table:
         w = _epoch_us(b) // window_us
         t = pa.table({"user_id": b["user_id"], "w": pa.array(w)})
@@ -931,8 +895,6 @@ def event_type_bigrams(sf_dir: str) -> ray.data.Dataset:
     (pairs crossing a user boundary masked out), then the bounded
     (|types|^2) grouped count finishes tree-side.
     """
-    from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": b["user_id"],
@@ -987,8 +949,6 @@ def rolling_extrema(sf_dir: str, k: int = 5) -> ray.data.Dataset:
     partition (the winnowing window-min kernel family) — no per-user
     Python, no window-function sort barrier.
     """
-    from ..functions.agg import hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
             "e": pa.array(_epoch_us(b)),
@@ -1058,8 +1018,6 @@ def value_deltas(sf_dir: str) -> ray.data.Dataset:
     Same shape as rolling_extrema: one user-keyed exchange, one
     composite Arrow sort, a single boundary-masked shifted subtract.
     """
-    from ..functions.agg import hash_partitioned_groups
-
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
             "e": pa.array(_epoch_us(b)),

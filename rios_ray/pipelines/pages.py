@@ -523,72 +523,29 @@ def pages_cube(sf_dir: str) -> ray.data.Dataset:
     return gather_final(finest, expand_sets)
 
 
-def host_crawl_sessions(sf_dir: str, gap_us: int = 6 * 3600 * 1_000_000,
-                        num_partitions: int | None = None) -> ray.data.Dataset:
+def host_crawl_sessions(sf_dir: str, gap_us: int = 6 * 3600 * 1_000_000) -> ray.data.Dataset:
     """Gap-based crawl sessionization of the PAGES table: one row per
     (host, session) with (host, session_id, n_pages, t_start, t_end) —
-    the events sessionizer lifted to a string key and the crawl
-    timestamp (politeness/burst analysis: how many distinct visits did
-    the crawler pay each domain).
+    the events sessionizer (``events.gap_sessions``) lifted to a string
+    key and the crawl timestamp (politeness/burst analysis: how many
+    distinct visits did the crawler pay each domain).
 
-    Same co-location contract: a host's pages hash to one partition
-    (FNV on the host string), the per-partition kernel is ONE composite
-    sort + vectorized gap cumsum over dictionary codes — no per-host
-    Python, no window-function barrier.
+    Same co-location contract: the keyed exchange puts all of a host's
+    pages in one partition, and the per-partition kernel is ONE
+    composite sort + vectorized gap cumsum over dictionary codes — no
+    per-host Python, no window-function barrier.
     """
-    import numpy as np
     import pyarrow.compute as pc
 
-    from ..dedup.hashing import fnv1a64_arrow
-    from ..functions.agg import cluster_partitions
+    from ..functions.agg import hash_partitioned_groups
+    from .events import gap_sessions
 
-    if num_partitions is None:
-        num_partitions = cluster_partitions()
-
-    def add_part(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         host = pc.struct_field(pc.extract_regex(b["url"], HOST_RE), "host")
-        with np.errstate(over="ignore"):
-            part = (fnv1a64_arrow(host) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(
-                num_partitions
-            )
-        return pa.table({
-            "host": host,
-            "e": b["warc_ts"].cast(pa.int64()),
-            "_part": pa.array(part.astype(np.int64)),
-        })
-
-    def sessionize(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("host", "ascending"), ("e", "ascending")])
-        hcol = g["host"].combine_chunks()
-        codes = hcol.dictionary_encode().indices.to_numpy(zero_copy_only=False)
-        e = g["e"].to_numpy(zero_copy_only=False)
-        if len(e) == 0:
-            return pa.table({
-                "host": pa.array([], type=pa.string()),
-                "session_id": pa.array([], type=pa.int64()),
-                "n_pages": pa.array([], type=pa.int64()),
-                "t_start": pa.array([], type=pa.int64()),
-                "t_end": pa.array([], type=pa.int64()),
-            })
-        new_host = np.concatenate([[True], codes[1:] != codes[:-1]])
-        gap = np.concatenate([[True], (e[1:] - e[:-1]) > gap_us])
-        new_session = new_host | gap
-        sess_start = np.flatnonzero(new_session)
-        sess_host_code = codes[sess_start]
-        host_first = np.concatenate([[True], sess_host_code[1:] != sess_host_code[:-1]])
-        host_ord = np.cumsum(host_first) - 1
-        first_pos = np.flatnonzero(host_first)
-        per_host_sid = np.arange(len(sess_start)) - first_pos[host_ord]
-        counts = np.add.reduceat(np.ones_like(e), sess_start)
-        return pa.table({
-            "host": pc.take(hcol, pa.array(sess_start)),
-            "session_id": pa.array(per_host_sid),
-            "n_pages": pa.array(counts.astype(np.int64)),
-            "t_start": pa.array(e[sess_start]),
-            "t_end": pa.array(np.maximum.reduceat(e, sess_start)),
-        })
+        return pa.table({"host": host, "e": b["warc_ts"].cast(pa.int64())})
 
     ds = read_pages(sf_dir, columns=["url", "warc_ts"], bundle_files=True).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
+        project, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
     )
-    return ds.groupby("_part").map_groups(sessionize, batch_format="pyarrow")
+    return hash_partitioned_groups(
+        ds, ["host"], lambda g: gap_sessions(g, "host", gap_us, "n_pages"))

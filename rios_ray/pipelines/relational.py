@@ -55,15 +55,6 @@ def _revenue_row(sums: dict) -> ray.data.Dataset:
     }))
 
 
-def _join_partitions() -> int:
-    """Partition count for the fact-fact exchanges: the cluster-sized
-    default every other exchange uses (max(16, 2 x CPUs) — measured on
-    q5 at 32 cpus: 16 partitions 7.4 s, 64 partitions 5.0 s)."""
-    from ..functions.agg import cluster_partitions
-
-    return cluster_partitions()
-
-
 def q1_pricing_summary(sf_dir: str, ship_before: str = "2000-09-01") -> ray.data.Dataset:
     """Q1-style: per (returnflag, linestatus) totals for lines shipped
     before the cutoff.  All sums in integer units (qty is whole;
@@ -155,7 +146,6 @@ def q3_top_orders(
         "o_orderkey",
         [("l_orderkey", pa.int64()), ("rev_cents", pa.int64())],
         [],
-        _join_partitions(),
     )
     per_order = hash_grouped_aggregate(
         joined,
@@ -328,7 +318,6 @@ def q5_nation_revenue(sf_dir: str) -> ray.data.Dataset:
         "o_orderkey",
         [("l_suppkey", pa.int64()), ("rev_cents", pa.int64())],
         [("o_custkey", pa.int64(), "o_custkey")],
-        _join_partitions(),
     )
 
     def tag(b: pa.Table) -> pa.Table:
@@ -409,7 +398,6 @@ def q18_big_orders(sf_dir: str, min_qty: int = 200) -> ray.data.Dataset:
             ("o_orderdate", pa.timestamp("us")),
         ],
         [("total_qty", pa.int64(), "total_qty")],
-        _join_partitions(),
     )
 
 
@@ -471,7 +459,6 @@ def q4_order_priority(
         "o_orderkey",
         "l_orderkey",
         [("o_orderpriority", pa.string())],
-        _join_partitions(),
     )
     return hash_grouped_aggregate(
         semi, ["o_orderpriority"], [(None, "count", "order_count")]
@@ -540,7 +527,6 @@ def q22_idle_customers(sf_dir: str, priority: str = "1-URGENT") -> ray.data.Data
         "c_custkey",
         "o_custkey",
         [("c_nationkey", pa.int64()), ("cents", pa.int64())],
-        _join_partitions(),
         anti=True,
     )
     return hash_grouped_aggregate(
@@ -566,12 +552,12 @@ def q10_returned_revenue(
     key; the global top-k is the distributed local-cut + tiny merge
     (``functions.agg.distributed_topk``), never a global sort; and the
     customer / nation attributes are attached to the ``k`` survivors
-    only — a broadcast back-join over k rows, not a fourth join over
-    the fact stream.
+    only, on the driver right after the top-k merge — a lookup over k
+    rows, not a fourth join over the fact stream.
     """
     import pyarrow.compute as pc
 
-    from ..functions.agg import distributed_topk
+    from ..functions.agg import distributed_topk, gather_final
     from ..functions.join import partitioned_lookup_join
 
     lo = np.datetime64(date_from, "us").astype(np.int64)
@@ -610,7 +596,6 @@ def q10_returned_revenue(
         "o_orderkey",
         [("rev_cents", pa.int64())],
         [("o_custkey", pa.int64(), "o_custkey")],
-        _join_partitions(),
     )
     per_cust = hash_grouped_aggregate(
         joined, ["o_custkey"], [("rev_cents", "sum", "revenue_cents")]
@@ -627,34 +612,25 @@ def q10_returned_revenue(
     )
     ckeys = cust["c_custkey"].to_numpy()
     c_ord = np.argsort(ckeys)
+    ck_s = ckeys[c_ord]
+    names = cust["c_name"].combine_chunks().take(pa.array(c_ord))
+    cn_s = cust["c_nationkey"].to_numpy()[c_ord]
+    bal_s = _cents(cust["c_acctbal"].to_numpy())[c_ord]
     nkey = nation["n_nationkey"].to_numpy()
     nat_names = [""] * (int(nkey.max()) + 1)
     for kk, nm in zip(nkey, nation["n_name"].to_pylist()):
         nat_names[int(kk)] = nm
-    names = cust["c_name"].combine_chunks().take(pa.array(c_ord))
-    dims_ref = ray.put(
-        (
-            ckeys[c_ord],
-            names,
-            cust["c_nationkey"].to_numpy().astype(np.int32)[c_ord],
-            _cents(cust["c_acctbal"].to_numpy())[c_ord],
-            nat_names,
-        )
-    )
+    nat_names = pa.array(nat_names, pa.string())
 
-    def annotate(df):
-        import pandas as pd  # noqa: F401
+    def annotate(t: pa.Table) -> pa.Table:
+        pos = np.searchsorted(ck_s, t["o_custkey"].to_numpy())  # FK integrity: all found
+        t = t.rename_columns(["c_custkey" if c == "o_custkey" else c for c in t.column_names])
+        return (t.append_column("c_name", names.take(pa.array(pos)))
+                 .append_column("acctbal_cents", pa.array(bal_s[pos]))
+                 .append_column("n_name", nat_names.take(pa.array(cn_s[pos]))))
 
-        ck_s, names_, cn_s, bal_s, nat_names_ = ray.get(dims_ref)
-        ck = df["o_custkey"].to_numpy()
-        pos = np.searchsorted(ck_s, ck)  # custkeys exist by FK integrity
-        out = df.rename(columns={"o_custkey": "c_custkey"}).copy()
-        out["c_name"] = np.asarray(names_.take(pa.array(pos)).to_pylist(), dtype=object)
-        out["acctbal_cents"] = bal_s[pos]
-        out["n_name"] = np.asarray(nat_names_, dtype=object)[cn_s[pos]]
-        return out
-
-    return top.map_batches(annotate, batch_format="pandas", batch_size=None)
+    # the k survivors are one in-memory block: annotate them on the driver
+    return gather_final(top, annotate)
 
 
 def q12_priority_lines(
@@ -696,7 +672,6 @@ def q12_priority_lines(
         "o_orderkey",
         [("l_linestatus", pa.string())],
         [("o_orderpriority", pa.string(), "prio")],
-        _join_partitions(),
     )
 
     def cases(b: pa.Table) -> pa.Table:
@@ -791,7 +766,6 @@ def q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_0",
         "o_orderkey",
         [("l_suppkey", pa.int64()), ("l_year", pa.int64()), ("rev_cents", pa.int64())],
         [("o_custkey", pa.int64(), "o_custkey")],
-        _join_partitions(),
     )
 
     def tag(b: pa.Table) -> pa.Table:
@@ -922,7 +896,6 @@ def q17_small_quantity_revenue(
         li, thresholds, "l_partkey", "l_partkey",
         [("qty", pa.int64()), ("cents", pa.int64())],
         [("sum_qty", pa.int64(), "sum_qty"), ("n", pa.int64(), "n")],
-        _join_partitions(),
     )
 
     def small(b: pa.Table) -> pa.Table:
@@ -992,7 +965,6 @@ def q21_returns_suppliers(
         lines, orders, "l_orderkey", "o_orderkey",
         [("l_suppkey", pa.int64()), ("big", pa.int8())],
         [("urgent", pa.int8(), "urgent")],
-        _join_partitions(),
     )
 
     def flagify(b: pa.Table) -> pa.Table:
@@ -1019,7 +991,6 @@ def q21_returns_suppliers(
         _read(sf_dir, "supplier", ["s_suppkey", "s_name"]), good,
         "s_suppkey", "l_suppkey",
         [("s_suppkey", pa.int64()), ("s_name", pa.string())], [],
-        _join_partitions(),
     )
 
 
@@ -1156,7 +1127,6 @@ def q8_market_share(
         li, orders, "l_orderkey", "o_orderkey",
         [("rev_cents", pa.int64()), ("nat_cents", pa.int64())],
         [("o_year", pa.int64(), "o_year")],
-        _join_partitions(),
     )
     sums = hash_grouped_aggregate(
         joined, ["o_year"],
@@ -1248,7 +1218,6 @@ def q9_nation_profit(sf_dir: str, name_sub: str = "red") -> ray.data.Dataset:
         li, orders, "l_orderkey", "o_orderkey",
         [("nat", pa.int32()), ("profit_cents", pa.int64())],
         [("o_year", pa.int64(), "o_year")],
-        _join_partitions(),
     )
 
     def tag(b: pa.Table) -> pa.Table:

@@ -267,10 +267,12 @@ def supercover_cells(
     per-segment Python), sorted once with a single lexsort, and each
     cell is read off at the midpoint between consecutive crossings —
     exactly the cells whose interior the segment enters (the
-    "supercover" of the segment).  A segment lying exactly ON a grid
-    line burns the floor() side only (right/below) — a deterministic
-    tie rule documented in lieu of GDAL's half-open edge conventions
-    (the reference delegates to GDAL ALL_TOUCHED,
+    "supercover" of the segment).  A point exactly ON a grid line
+    belongs to its floor() side (right/below), so a segment lying on a
+    line burns that side only, and each endpoint's floor() cell is
+    always emitted, even when the segment only touches it — a
+    deterministic tie rule documented in lieu of GDAL's half-open edge
+    conventions (the reference delegates to GDAL ALL_TOUCHED,
     /root/reference/rios/applier.py:713-728).
 
     Returns ``(seg_idx, rows, cols)`` int64 arrays; duplicates are
@@ -330,6 +332,10 @@ def supercover_cells(
     i = np.flatnonzero(keep)
     tm = 0.5 * (t_s[i] + t_s[i + 1])
     sm = seg[i]  # seg is already grouped ascending; lexsort keeps groups
-    col = np.floor(c0[sm] + tm * dc[sm]).astype(np.int64)
-    row = np.floor(r0[sm] + tm * dr[sm]).astype(np.int64)
+    # a grid line through an endpoint leaves a zero-length interval at
+    # t=1 (or t=0); read that cell off the exact endpoint, since
+    # c0 + 1.0 * dc can round below an on-line c1 and lose its cell
+    at_end = tm == 1.0
+    col = np.floor(np.where(at_end, c1[sm], c0[sm] + tm * dc[sm])).astype(np.int64)
+    row = np.floor(np.where(at_end, r1[sm], r0[sm] + tm * dr[sm])).astype(np.int64)
     return sm, row, col

@@ -66,13 +66,10 @@ def ranked_head_per_key(
     """
     if table.num_rows == 0:
         return table.append_column(rank_col, pa.array([], type=pa.int64()))
+    from ..functions.agg import key_codes
+
     tbl = table.sort_by([(key_col, "ascending")] + list(sort_keys))
-    col = tbl[key_col]
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-        keys = col.dictionary_encode().indices.to_numpy(zero_copy_only=False)
-    else:
-        keys = col.to_numpy(zero_copy_only=False)
+    keys = key_codes(tbl[key_col])
     new_run = np.concatenate([[True], keys[1:] != keys[:-1]])
     run_id = np.cumsum(new_run) - 1
     run_start = np.flatnonzero(new_run)
@@ -81,70 +78,39 @@ def ranked_head_per_key(
     return tbl.filter(pa.array(pos_in_run < n))
 
 
-def _salt_of(order_vals: np.ndarray, n_salts: int) -> np.ndarray:
-    """Deterministic salt from the order column (spreads a hot key's
-    rows across ``n_salts`` subgroups)."""
-    from ..dedup.hashing import fnv1a64
-
-    if order_vals.dtype.kind in "iu":
-        with np.errstate(over="ignore"):
-            h = order_vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    else:
-        h = fnv1a64([str(v) for v in order_vals])
-    return (h % np.uint64(n_salts)).astype(np.int64)
-
-
 def capped_per_key(
     ds,
     key_col: str,
     cap: int,
     order_col: str,
     n_salts: int = DEFAULT_SALTS,
-    num_partitions: int = 16,
 ):
     """Distributed deterministic per-key fan-out cap.
 
     Three-stage cap: per batch, per (key, salt), per key.  The result
     is exactly the ``cap`` smallest-``order_col`` rows of every key.
 
-    Stages 2 and 3 are *partition*-vectorized: rows are exchanged on a
-    small ``_part`` hash column (P groups, so ``groupby(_part)`` pays
-    per-group overhead P times, not once per key — the same lesson as
-    functions/agg.py), and the cap inside a partition is one sort + one
-    run-length filter over the whole block.  Stage 2 partitions on
-    (key, salt) so a hot key's rows split ``n_salts`` ways before any
-    single task must hold them; stage 3 partitions on key alone, by
-    which point each key carries at most ``cap * n_salts`` rows.
+    Stages 2 and 3 are two passes of the keyed exchange
+    (``functions.agg.hash_partitioned_groups``), and the cap inside a
+    partition is one sort + one run-length filter over the whole
+    block.  Stage 2 is keyed on (key, salt), the salt a hash of
+    ``order_col`` into ``n_salts`` values, so a hot key's rows split
+    ``n_salts`` ways before any single task must hold them; stage 3 is
+    keyed on the key alone, by which point each key carries at most
+    ``cap * n_salts`` rows.
     """
+    from ..functions.agg import _part_of, hash_partitioned_groups
 
     def batch_cap(b: pa.Table) -> pa.Table:
         b = head_per_key(b, key_col, cap, order_col)
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        order_vals = b[order_col].to_numpy(zero_copy_only=False)
-        salt = _salt_of(order_vals, n_salts)
-        with np.errstate(over="ignore"):
-            part = (
-                (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + salt.astype(np.uint64))
-                % np.uint64(num_partitions * n_salts)
-            ).astype(np.int64)
-        return b.append_column("_part", pa.array(part))
+        return b.append_column("_salt", pa.array(_part_of(b, [order_col], n_salts)))
 
     def salted_cap(g: pa.Table) -> pa.Table:
-        g = head_per_key(g, key_col, cap, order_col)
-        keys = g[key_col].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            part = (
-                keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                % np.uint64(num_partitions)
-            ).astype(np.int64)
-        return g.set_column(g.schema.get_field_index("_part"), "_part", pa.array(part))
-
-    def final_cap(g: pa.Table) -> pa.Table:
-        g = head_per_key(g, key_col, cap, order_col)
-        return g.drop_columns(["_part"])
+        return head_per_key(g, key_col, cap, order_col).drop_columns(["_salt"])
 
     capped = ds.map_batches(
         batch_cap, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
     )
-    salted = capped.groupby("_part").map_groups(salted_cap, batch_format="pyarrow")
-    return salted.groupby("_part").map_groups(final_cap, batch_format="pyarrow")
+    salted = hash_partitioned_groups(capped, [key_col, "_salt"], salted_cap)
+    return hash_partitioned_groups(
+        salted, [key_col], lambda g: head_per_key(g, key_col, cap, order_col))

@@ -225,7 +225,7 @@ def test_connected_components_shapes(ray_session, force_strategy):
     for strategy in ("broadcast", "partitioned"):
         force_strategy(strategy)
         got = (
-            connected_components(ray.data.from_arrow(edges), num_partitions=4)
+            connected_components(ray.data.from_arrow(edges))
             .to_pandas()
             .set_index("node")["cluster_id"]
             .to_dict()
@@ -315,7 +315,7 @@ def test_connected_components_long_chain(ray_session, force_strategy):
     for strategy in ("broadcast", "partitioned"):
         force_strategy(strategy)
         got = (
-            connected_components(ray.data.from_arrow(edges), num_partitions=4)
+            connected_components(ray.data.from_arrow(edges))
             .to_pandas()
         )
         assert len(got) == n and (got["cluster_id"] == 0).all(), strategy

@@ -442,7 +442,7 @@ def test_quantiles_sketch_exact_and_approximate(ray_session):
     got = (
         grouped_quantiles_sketch(
             ray.data.from_arrow(t).repartition(8), "k", "v", qs,
-            capacity=c, id_col="rid", num_partitions=4,
+            capacity=c, id_col="rid",
         )
         .to_pandas().sort_values("q").reset_index(drop=True)
     )

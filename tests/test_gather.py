@@ -1,7 +1,7 @@
 """Driver-side bounded finals (``functions.agg.gather_final``): each
-tiling pipeline runs once, its result answers schema questions without
-a rerun, empty inputs give zero rows, and a failing final keeps its
-exception type."""
+tiling pipeline runs once, its result (and q10's annotated top-k)
+answers schema questions without a rerun, empty inputs give zero rows,
+and a failing final keeps its exception type."""
 
 import pyarrow as pa
 import pytest
@@ -25,14 +25,20 @@ def _knn_cellring():
     return knn_pages_cellring(SF, k=10)
 
 
+def _q10():
+    from rios_ray.pipelines.relational import q10_returned_revenue
+
+    return q10_returned_revenue(SF, k=15)
+
+
 def test_flagship_runs_one_job(ray_session, ray_jobs):
     """Building and consuming the flagship is one Ray Data job."""
     ray.get(_flagship().to_arrow_refs())
     assert len(ray_jobs) == 1
 
 
-@pytest.mark.parametrize("pipeline", [_flagship, _knn_cellring],
-                         ids=["flagship", "knn_pages_cellring"])
+@pytest.mark.parametrize("pipeline", [_flagship, _knn_cellring, _q10],
+                         ids=["flagship", "knn_pages_cellring", "q10"])
 def test_result_schema_starts_no_job(ray_session, ray_jobs, pipeline):
     """A gathered result is in memory with a known schema: consuming it
     through ``to_arrow_refs`` (which asks for the schema) or asking for
@@ -70,7 +76,7 @@ def _all_empty():
 
 def _columnless():
     """A keyed exchange over no rows emits empty blocks without columns."""
-    return grouped_count(_all_empty(), ["id"], num_partitions=4)
+    return grouped_count(_all_empty(), ["id"])
 
 
 EMPTY = pytest.mark.parametrize("make", [_zero_blocks, _all_empty, _columnless],

@@ -3,7 +3,7 @@ engine's bit-exactness contracts (SURVEY §7.4.1: float drift in grid
 arithmetic silently shifts tile membership)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rios_ray import gridmodel as G
@@ -201,15 +201,18 @@ def test_levenshtein_batch_properties(pairs):
     st.floats(-20, 40, allow_nan=False), st.floats(-20, 40, allow_nan=False),
     st.floats(-20, 40, allow_nan=False), st.floats(-20, 40, allow_nan=False),
 ), min_size=1, max_size=15))
+# on column line 0, ending exactly on row line 1: the end cell is (1, 0)
+@example(segs=[(0.0, -1.03125, 0.0, 1.0)])
 @settings(max_examples=40, deadline=None)
 def test_supercover_properties(segs):
-    """Supercover invariants: both endpoint cells present, every
-    consecutive cell pair along the traversal 8-connected, cell count
-    <= |dc| + |dr| + 3 (crossings + 1).  Inputs are snapped to 3
-    decimals — a denormal-epsilon coordinate (e.g. -1e-38, whose floor
-    is -1) makes the 'endpoint floor-cell present' claim ill-posed
-    under the documented on-gridline tie rule; real pixel coordinates
-    are never subnormal."""
+    """Supercover invariants: both endpoint cells present (also when an
+    endpoint lies exactly on a grid line), every consecutive cell pair
+    along the traversal 8-connected, cell count <= |dc| + |dr| + 3
+    (crossings + 1).  Inputs are snapped to 3 decimals — a
+    denormal-epsilon coordinate (e.g. -1e-38, whose floor is -1) makes
+    the 'endpoint floor-cell present' claim ill-posed under the
+    documented on-gridline tie rule; real pixel coordinates are never
+    subnormal."""
     from rios_ray.spatial import supercover_cells
 
     c0 = np.round([s[0] for s in segs], 3)

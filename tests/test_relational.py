@@ -220,13 +220,13 @@ def test_exists_join_edge_cases(ray_session):
     )
     right = ray.data.from_arrow(pa.table({"rk": [2, 2, 4, 9]}))
     cols = [("k", pa.int64()), ("v", pa.string())]
-    semi = partitioned_exists_join(left, right, "k", "rk", cols, 4).to_pandas()
+    semi = partitioned_exists_join(left, right, "k", "rk", cols).to_pandas()
     assert sorted(semi["k"].tolist()) == [2, 4]
-    anti = partitioned_exists_join(left, right, "k", "rk", cols, 4, anti=True).to_pandas()
+    anti = partitioned_exists_join(left, right, "k", "rk", cols, anti=True).to_pandas()
     assert sorted(anti["k"].tolist()) == [1, 3, 5]
     empty_right = ray.data.from_arrow(pa.table({"rk": pa.array([], type=pa.int64())}))
     anti_all = partitioned_exists_join(
-        left, empty_right, "k", "rk", cols, 4, anti=True
+        left, empty_right, "k", "rk", cols, anti=True
     ).to_pandas()
     assert sorted(anti_all["k"].tolist()) == [1, 2, 3, 4, 5]
 
