@@ -28,14 +28,24 @@ from ..stages.cellassign import (
     assign_cells,
 )
 from ..stages.geocode import extract_text, geocode
-from ..stages.knn import knn_final_merge_all, knn_partial_fn
+from ..stages.knn import knn_final_merge_all, knn_partial_fn, knn_ring_fn
 from ..stages.pip import pip_join_fn
 
 GEO_COLS = ["url", "warc_ts", "lang", "extracted_text", "lat", "lon"]
 
-# Rows per batch for the vectorized stages: large enough that pyarrow /
-# numpy kernel launch overhead amortizes, small enough that a batch x
-# concurrency stays well inside worker heaps (a geocoded row is ~300 B).
+# Rows per batch for the vectorized stages chained after
+# ``geocoded_pages`` / ``page_cells`` in other pipelines (PIP join,
+# spatial ops) and for the host/url pipelines below: large enough that
+# pyarrow / numpy kernel launch overhead amortizes, small enough that a
+# batch x concurrency stays well inside worker heaps (a geocoded row is
+# ~300 B).  Inside ``geocoded_pages``, ``page_cells`` and the tiling
+# pipelines every stage takes ``batch_size=None`` instead: the footer
+# planner already sized the read block, and Ray fuses no read into a
+# map chain in which any stage asks for a row count
+# (``min_rows_per_bundled_input``): the read then runs as its own
+# operator and every read block, html and all, crosses the object
+# store.  A consumer that chains a ``BATCH_SIZE`` map onto
+# ``geocoded_pages`` (``spatial_join``, the spatial ops) reads apart.
 BATCH_SIZE = 16384
 
 
@@ -62,9 +72,9 @@ def geocoded_pages(
     ds = read_pages(sf_dir, columns=read_cols, paths=paths,
                     bundle_files=paths is None)
     ds = ds.map_batches(extract_text, batch_format="pyarrow", zero_copy_batch=True,
-                        batch_size=BATCH_SIZE)
+                        batch_size=None)
     ds = ds.map_batches(geocode, batch_format="pyarrow", zero_copy_batch=True,
-                        batch_size=BATCH_SIZE)
+                        batch_size=None)
     # html served its purpose; drop the heavy binary column before any shuffle
     cols = [c for c in GEO_COLS if (keep_ts or c != "warc_ts")]
     if not keep_text:
@@ -74,7 +84,7 @@ def geocoded_pages(
         lambda b: assign_cells(b, grid_res, s2_level, hex_res, families),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=BATCH_SIZE,
+        batch_size=None,
     )
 
 
@@ -117,6 +127,20 @@ def geocells(b: pa.Table, grid_res: int = DEFAULT_GRID_RES, url: bool = False) -
     return pa.table({**cols, "lon": lon, "lat": lat, "cell": pa.array(cell)})
 
 
+def page_cells(sf_dir: str, grid_res: int = DEFAULT_GRID_RES, url: bool = False,
+               paths: list[str] | None = None) -> ray.data.Dataset:
+    """:func:`geocells` over a footer-planned read of ``html`` (and
+    ``url``), fused into the read: the read block is the batch.
+
+    ``paths`` restricts the read to those shard files with one read
+    task per file (the checkpoint-resume unit); a full scan reads
+    balanced runs of row groups (``sources.read_pages``)."""
+    ds = read_pages(sf_dir, columns=["url", "html"] if url else ["html"], paths=paths,
+                    bundle_files=paths is None)
+    return ds.map_batches(partial(geocells, grid_res=grid_res, url=url),
+                          batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+
+
 FLAGSHIP_KEYS = ["cell", "category"]
 FLAGSHIP_AGGS = [(None, "count", "n_pages")]
 
@@ -131,24 +155,17 @@ def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
     bandwidth-bound once vectorized, so every byte not read or copied
     is throughput): reads ONLY ``html``, geocodes it with
     :func:`geocells` (grid cell only, no s2/hex), and the PIP stage
-    keeps only ``cell``.
-
-    ``paths`` restricts the read to those shard files with one read
-    task per file (the checkpoint-resume unit); a full scan reads
-    balanced runs of row groups (``sources.read_pages``).
+    keeps only ``cell``.  Read, geocode, join and partial aggregate
+    run as one fused operator, one task per read block; ``paths`` is
+    :func:`page_cells`'.
     """
     from ..functions.agg import partial_aggregate
 
-    ds = read_pages(sf_dir, columns=["html"], paths=paths,
-                    bundle_files=paths is None).map_batches(
-        partial(geocells, grid_res=grid_res), batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=BATCH_SIZE,
-    )
-    joined = ds.map_batches(
+    joined = page_cells(sf_dir, grid_res, paths=paths).map_batches(
         pip_join_fn(polys_ref, keep_cols=["cell"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=BATCH_SIZE,
+        batch_size=None,
     )
     return partial_aggregate(joined, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
 
@@ -224,124 +241,33 @@ def cell_band_math(
 
 
 def knn_pages(sf_dir: str, k: int = 10) -> ray.data.Dataset:
-    """Exact kNN of every broadcast query point over all pages (task
-    pool + per-worker query-matrix cache, see spatial_join)."""
-    qpath = synth.ensure_knn_queries()
-    q_ref = ray.put(pq.read_table(qpath))
-    ds = geocoded_pages(sf_dir, keep_text=False, families=("grid",))
-    partial = ds.map_batches(
-        knn_partial_fn(q_ref, k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=BATCH_SIZE,
+    """Exact kNN of every broadcast query point over all pages: each
+    read block's brute-force top-k (``stages.knn.KnnPartialStage``,
+    fused into the read), merged on the driver."""
+    queries = pq.read_table(synth.ensure_knn_queries())
+    partials = page_cells(sf_dir, url=True).map_batches(
+        knn_partial_fn(queries, k), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
     )
-    return gather_final(partial, knn_final_merge_all(k))
+    return gather_final(partials, knn_final_merge_all(k))
 
 
 def knn_pages_cellring(sf_dir: str, k: int = 10,
                        grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
-    """Exact kNN via cell-ring candidate generation + exact refine.
+    """Exact kNN with a cell-ring refine: one streaming job.
 
-    Two passes (the scale path when queries are localized):
-
-    1. per-cell counts (vectorized grouped count -> small driver map:
-       bounded by the grid size, not the corpus);
-    2. driver plans a provably-sufficient candidate cell set per query
-       (stages.knn.ring_candidate_cells), broadcasts it, and the refine
-       scans ONLY rows whose cell is in some query's candidate set —
-       per batch, one isin filter + exact distances on the survivors.
-
-    Output is identical to :func:`knn_pages` (tested); only the work
-    shape differs: brute force touches every row per query, this
-    touches ~|candidate cells| worth of rows.
+    Each read block plans its own rings from its rows' cells
+    (``stages.knn.KnnRingStage``) and computes distances only for rows
+    within the provable ring radius of each query; the blocks' exact
+    local top-k are merged on the driver.  Output is identical to
+    :func:`knn_pages` (tested); only the work shape differs.
     """
-    import numpy as np
-
-    from ..functions.agg import grouped_count
-    from ..stages.knn import ring_candidate_cells
-
-    qpath = synth.ensure_knn_queries()
-    qt = pq.read_table(qpath)
-    qid = qt["qid"].to_numpy()
-    qlon = qt["qlon"].to_numpy()
-    qlat = qt["qlat"].to_numpy()
-
-    # Materialize the pruned 4-column projection ONCE and feed both the
-    # count pass and the refine pass — the geocode (regex over html) is
-    # the expensive part and must not run twice (round-2 regression).
-    # ~30 B/row in the object store; at cluster scale this is the same
-    # bounded footprint every shuffle of the projection would need.
-    geo = read_pages(sf_dir, columns=["url", "html"], bundle_files=True).map_batches(
-        partial(geocells, grid_res=grid_res, url=True), batch_format="pyarrow",
-        zero_copy_batch=True, batch_size=BATCH_SIZE,
-    ).materialize()
-
-    # pass 1: per-cell counts.  Tree final: cardinality is bounded by
-    # the GRID (not the corpus), so per-batch partials + one driver-side
-    # merge beat a keyed exchange — same reasoning as flagship's final
-    counts_df = grouped_count(
-        geo.select_columns(["cell"]), ["cell"], alias="n",
-        final_mode="tree",
-    ).to_pandas()
-    cell_counts = dict(zip(counts_df["cell"].astype(int), counts_df["n"].astype(int)))
-
-    # driver planning: candidate cells per query + the union filter set
-    cand_sets = [
-        ring_candidate_cells(float(qlon[j]), float(qlat[j]), grid_res, cell_counts, k)
-        for j in range(len(qid))
-    ]
-    union_cells = np.unique(np.concatenate(cand_sets))
-    cand_arrays = [np.asarray(np.unique(c), dtype=np.int64) for c in cand_sets]
-    q_ref = ray.put((qid, qlon, qlat, cand_arrays, union_cells))
-
-    def refine(b: pa.Table) -> pa.Table:
-        import pyarrow as pa_
-
-        qid_, qlon_, qlat_, cand_, union_ = ray.get(q_ref)
-        cells = b["cell"].to_numpy()
-        keep = np.isin(cells, union_)
-        b = b.filter(pa_.array(keep))
-        out_qid, out_idx, out_d2 = [], [], []
-        if b.num_rows:
-            cells = b["cell"].to_numpy()
-            lon = b["lon"].to_numpy()
-            lat = b["lat"].to_numpy()
-            for j in range(len(qid_)):
-                # per-query candidate mask BEFORE top-k (a union row must
-                # not evict a true candidate from this query's slots)
-                m = np.isin(cells, cand_[j])
-                if not m.any():
-                    continue
-                rows = np.flatnonzero(m)
-                dlon = lon[rows] - qlon_[j]
-                dlat = lat[rows] - qlat_[j]
-                d2 = dlon * dlon + dlat * dlat
-                kk = min(k, len(d2))
-                top = np.argpartition(d2, kk - 1)[:kk] if kk < len(d2) else np.arange(len(d2))
-                out_qid.append(np.full(len(top), qid_[j], dtype=np.int64))
-                out_idx.append(rows[top])
-                out_d2.append(d2[top])
-        if not out_qid:
-            return pa_.table({"qid": pa_.array([], type=pa_.int64()),
-                              "url": pa_.array([], type=pa_.string()),
-                              "d2": pa_.array([], type=pa_.float64())})
-        import pyarrow.compute as pc_
-
-        # one Arrow take for all queries' survivors — the url strings
-        # never round-trip through Python objects
-        urls = pc_.take(
-            b["url"].combine_chunks(), pa_.array(np.concatenate(out_idx))
-        )
-        return pa_.table({
-            "qid": pa_.array(np.concatenate(out_qid)),
-            "url": urls.cast(pa_.string()),
-            "d2": pa_.array(np.concatenate(out_d2), type=pa_.float64()),
-        })
-
-    cands = geo.map_batches(
-        refine, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE
+    queries = pq.read_table(synth.ensure_knn_queries())
+    partials = page_cells(sf_dir, grid_res, url=True).map_batches(
+        knn_ring_fn(queries, k, grid_res), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
     )
-    return gather_final(cands, knn_final_merge_all(k))
+    return gather_final(partials, knn_final_merge_all(k))
 
 
 HOST_RE = r"^[a-z]+://(?P<host>[^/]+)"

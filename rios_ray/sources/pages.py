@@ -25,8 +25,10 @@ def read_pages(
     cut into contiguous runs balanced by row count, about two read
     tasks per CPU.  Without it each file is one read task — the
     checkpoint-resume unit (see rios_ray.runtime), whose lineage names
-    its shard.  Either way the task count comes from the footers, and
-    the read fuses with the map stages after it.
+    its shard.  Either way the task count comes from the footers.  The
+    read fuses with a map after it only if that map takes the read block
+    as its batch (``batch_size=None``): Ray fuses no read into a map that
+    asks for a row count.
     """
     path = synth.ensure_pages(sf_dir)
     return read_row_groups(paths if paths is not None else path, columns,

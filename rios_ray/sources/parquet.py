@@ -7,8 +7,8 @@ its tile reads (``applier.TileReads``).
 Each read task is a contiguous run of row groups with exact row counts
 and projected sizes in its metadata and the footer's schema; it reads
 with ``ParquetFile.read_row_groups``.  There is no sampling pass and no
-block splitting after the read, so the read fuses with the map stages
-that follow it.
+block splitting after the read, so the read fuses with a map stage that
+takes the read block as its batch (``batch_size=None``).
 """
 
 from __future__ import annotations

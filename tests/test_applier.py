@@ -229,9 +229,9 @@ def test_stats_sidecar(fixtures, tmp_path):
 
 
 def test_knn_cellring_equals_bruteforce(ray_session):
-    """Cell-ring candidate generation + exact refine reproduces the
-    brute-force kNN exactly (the ring radius bound is provable — see
-    stages.knn.ring_candidate_cells)."""
+    """The per-block cell-ring refine reproduces the brute-force kNN
+    exactly (the ring radius bound is provable — see
+    stages.knn.KnnRingStage)."""
     from rios_ray.pipelines.pages import knn_pages, knn_pages_cellring
 
     sf = "/root/testdata/sf0.001"
@@ -247,19 +247,16 @@ def test_knn_cellring_equals_bruteforce(ray_session):
 
 def test_knn_cellring_geocodes_once(ray_session, ray_jobs):
     """The pages are read and geocoded once: building and consuming
-    ``knn_pages_cellring`` runs exactly three Ray Data jobs — the
-    materialised geocoded projection, the per-cell counts and the
-    refine — and only the first reads."""
+    ``knn_pages_cellring`` runs exactly one Ray Data job, and the read
+    is in it."""
     import ray
     from ray.data._internal.execution.operators.map_operator import MapOperator
 
     from rios_ray.pipelines.pages import knn_pages_cellring
 
     ray.get(knn_pages_cellring("/root/testdata/sf0.001", k=10).to_arrow_refs())
-    assert len(ray_jobs) == 3
-    reads = [[op for op in job if isinstance(op, MapOperator) and "Read" in op.name]
-             for job in ray_jobs]
-    assert [bool(r) for r in reads] == [True, False, False]
+    assert len(ray_jobs) == 1
+    assert any(isinstance(op, MapOperator) and "Read" in op.name for op in ray_jobs[0])
 
 
 def _leftover_temp_tables(d) -> list[str]:
