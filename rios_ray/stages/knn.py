@@ -18,7 +18,6 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 
-from .cellassign import DEFAULT_GRID_RES
 from .skew import ranked_head_per_key
 
 
@@ -49,27 +48,21 @@ class KnnPartialStage:
             self.qid, self.qlon, self.qlat = queries
         self.k = k
 
-    def candidates(self, batch: pa.Table, lon: np.ndarray, lat: np.ndarray):
-        """Each query's candidate rows of ``batch``; ``None`` is every row."""
-        return None
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         lon = batch["lon"].to_numpy(zero_copy_only=False)
         lat = batch["lat"].to_numpy(zero_copy_only=False)
-        cand = self.candidates(batch, lon, lat)
         out_qid, out_idx, out_d2 = [], [], []
         for j in range(len(self.qid)):
-            rows = slice(None) if cand is None else cand[j]
             # identical float expression to the SQL oracle:
             # (lon-qlon)*(lon-qlon) + (lat-qlat)*(lat-qlat)
-            dlon = lon[rows] - self.qlon[j]
-            dlat = lat[rows] - self.qlat[j]
+            dlon = lon - self.qlon[j]
+            dlat = lat - self.qlat[j]
             d2 = dlon * dlon + dlat * dlat
             top = local_topk(d2, self.k)
             out_qid.append(np.full(len(top), self.qid[j], dtype=np.int64))
-            out_idx.append(top if cand is None else rows[top])
+            out_idx.append(top)
             out_d2.append(d2[top])
         # one Arrow take for every query's survivors — urls never
         # round-trip through Python objects
@@ -83,46 +76,6 @@ class KnnPartialStage:
                 "d2": pa.array(np.concatenate(out_d2), type=pa.float64()),
             }
         )
-
-
-class KnnRingStage(KnnPartialStage):
-    """:class:`KnnPartialStage` that refines each query over a ring of
-    grid cells planned from the batch's own ``cell`` column.
-
-    Per query, a row's ring is its Chebyshev cell distance to the query
-    cell, ``max(|dy|, |dx|)``.  Longitude does not wrap, because ``d2``
-    does not: a row across the ±180° seam is near in a wrapped ring
-    but far in ``d2``.  ``r`` is the k-th smallest ring over the rows
-    that lie inside the grid (null and out-of-range coordinates count
-    toward no ring).  Those k rows are within ``(r+1)·s·√2`` of the
-    query (``s`` the cell step), and a row beyond ring
-    ``R = ceil(1 + (r+1)·√2)`` is farther than ``R·s``.  So the exact
-    top-k of rows within ring ``R`` is the batch's top-k, ties
-    included, for any subset of the points: each block's partial is
-    exact and the global top-k lies in their union.  This is the
-    reference's block margin (``applier.py:253-268``) as a provable
-    radius.  A batch with fewer than ``k`` such rows, or a query
-    outside the grid, takes every row."""
-
-    def __init__(self, queries, k: int = 10, grid_res: int = DEFAULT_GRID_RES):
-        from ..cells import grid_cell_id, grid_cell_yx
-
-        super().__init__(queries, k)
-        self.res = grid_res
-        self.qy, self.qx = grid_cell_yx(grid_cell_id(self.qlon, self.qlat, grid_res), grid_res)
-        self.q_inside = (np.abs(self.qlat) <= 90.0) & (np.abs(self.qlon) <= 180.0)
-
-    def candidates(self, batch: pa.Table, lon: np.ndarray, lat: np.ndarray):
-        from ..cells import grid_cell_yx
-
-        inside = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
-        if np.count_nonzero(inside) < self.k:
-            return None
-        cy, cx = grid_cell_yx(batch["cell"].to_numpy(zero_copy_only=False), self.res)
-        ring = np.maximum(np.abs(cy[:, None] - self.qy), np.abs(cx[:, None] - self.qx))
-        r = np.partition(ring[inside], self.k - 1, axis=0)[self.k - 1]
-        R = np.where(self.q_inside, np.ceil(1 + (r + 1) * np.sqrt(2.0)), np.inf)
-        return [np.flatnonzero(ring[:, j] <= R[j]) for j in range(len(self.qid))]
 
 
 def knn_final_merge_all(k: int):
@@ -141,25 +94,14 @@ def knn_final_merge_all(k: int):
     return merge
 
 
-def _cached_fn(cls, queries, *args):
-    """``cls(queries, *args)`` built once per worker process per query
-    ref (as stages.pip.pip_join_fn); a table is broadcast first."""
+def knn_partial_fn(queries, k: int = 10):
+    """Task-pool variant of :class:`KnnPartialStage`, built once per
+    worker process per query ref (as stages.pip.pip_join_fn)."""
     import ray
 
     from ..util import cached_stage
 
     if not isinstance(queries, ray.ObjectRef):
         queries = ray.put(queries)
-    return partial(cached_stage, "knn", (cls.__name__, queries.hex(), *args),
-                   partial(cls, queries, *args))
-
-
-def knn_partial_fn(queries, k: int = 10):
-    """Task-pool variant of :class:`KnnPartialStage`."""
-    return _cached_fn(KnnPartialStage, queries, k)
-
-
-def knn_ring_fn(queries, k: int = 10, grid_res: int = DEFAULT_GRID_RES):
-    """Task-pool variant of :class:`KnnRingStage`; its batches need the
-    ``cell`` column at ``grid_res``."""
-    return _cached_fn(KnnRingStage, queries, k, grid_res)
+    return partial(cached_stage, "knn", (queries.hex(), k),
+                   partial(KnnPartialStage, queries, k))

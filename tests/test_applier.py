@@ -229,9 +229,8 @@ def test_stats_sidecar(fixtures, tmp_path):
 
 
 def test_knn_cellring_equals_bruteforce(ray_session):
-    """The per-block cell-ring refine reproduces the brute-force kNN
-    exactly (the ring radius bound is provable — see
-    stages.knn.KnnRingStage)."""
+    """The kNN the benchmarks and the ledger run under the cell-ring
+    name is the brute-force kNN, row for row."""
     from rios_ray.pipelines.pages import knn_pages, knn_pages_cellring
 
     sf = "/root/testdata/sf0.001"
@@ -247,16 +246,17 @@ def test_knn_cellring_equals_bruteforce(ray_session):
 
 def test_knn_cellring_geocodes_once(ray_session, ray_jobs):
     """The pages are read and geocoded once: building and consuming
-    ``knn_pages_cellring`` runs exactly one Ray Data job, and the read
-    is in it."""
+    ``knn_pages_cellring`` runs exactly one Ray Data job, whose only
+    map operator is the read fused with the geocode and the top-k, so
+    the html never leaves the read task."""
     import ray
-    from ray.data._internal.execution.operators.map_operator import MapOperator
 
     from rios_ray.pipelines.pages import knn_pages_cellring
 
     ray.get(knn_pages_cellring("/root/testdata/sf0.001", k=10).to_arrow_refs())
     assert len(ray_jobs) == 1
-    assert any(isinstance(op, MapOperator) and "Read" in op.name for op in ray_jobs[0])
+    maps = [op.name for op in ray_jobs[0] if "Read" in op.name or "Map" in op.name]
+    assert len(maps) == 1 and maps[0].startswith("ReadParquetRowGroups->MapBatches(geocells)"), maps
 
 
 def _leftover_temp_tables(d) -> list[str]:

@@ -32,9 +32,13 @@ def _q10():
 
 
 def test_flagship_runs_one_job(ray_session, ray_jobs):
-    """Building and consuming the flagship is one Ray Data job."""
+    """Building and consuming the flagship is one Ray Data job, whose
+    only map operator is the read fused with the geocode and everything
+    after it: the html never leaves the read task."""
     ray.get(_flagship().to_arrow_refs())
     assert len(ray_jobs) == 1
+    maps = [op.name for op in ray_jobs[0] if "Read" in op.name or "Map" in op.name]
+    assert len(maps) == 1 and maps[0].startswith("ReadParquetRowGroups->MapBatches(geocells)"), maps
 
 
 @pytest.mark.parametrize("pipeline", [_flagship, _knn_cellring, _q10],

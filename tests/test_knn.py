@@ -1,36 +1,28 @@
-"""The page kNN stages (``stages.knn``): each block's partial keeps every
-row tied at the k-th distance, and the cell-ring stage's per-block
-radius loses no true neighbour — on the ±180° seam, at the poles, in
-blocks smaller than k and with null coordinates."""
+"""The page kNN stage (``stages.knn``): each block's partial keeps every
+row tied at the k-th distance, so the merged partials are the exact
+top-k by ``(d2, url)`` — on the ±180° seam, at the poles, in blocks
+smaller than k and with null coordinates."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rios_ray.cells import grid_cell_id, grid_cell_step
-from rios_ray.stages.knn import KnnPartialStage, KnnRingStage, knn_final_merge_all
-
-STAGES = [lambda q, k, res: KnnPartialStage(q, k), KnnRingStage]
+from rios_ray.stages.knn import KnnPartialStage, knn_final_merge_all
 
 
-def _block(lon, lat, urls, res):
+def _block(lon, lat, urls):
     """A block as ``geocells(url=True)`` emits it: null coordinates are
-    Arrow nulls, and their cell is whatever ``grid_cell_id`` makes of NaN."""
-    lon, lat = np.asarray(lon, np.float64), np.asarray(lat, np.float64)
-    with np.errstate(invalid="ignore"):
-        cell = grid_cell_id(lon, lat, res)
+    Arrow nulls."""
     return pa.table({"url": pa.array(urls, pa.string()),
-                     "lon": pa.array(lon, from_pandas=True),
-                     "lat": pa.array(lat, from_pandas=True),
-                     "cell": pa.array(cell)})
+                     "lon": pa.array(np.asarray(lon, np.float64), from_pandas=True),
+                     "lat": pa.array(np.asarray(lat, np.float64), from_pandas=True)})
 
 
-def _knn(stage, blocks, k):
-    parts = [stage(b) for b in blocks]
-    return knn_final_merge_all(k)(pa.concat_tables(parts))
+def _knn(queries, blocks, k):
+    stage = KnnPartialStage(queries, k)
+    return knn_final_merge_all(k)(pa.concat_tables([stage(b) for b in blocks]))
 
 
 def _brute(queries, lon, lat, urls, k):
@@ -45,14 +37,13 @@ def _brute(queries, lon, lat, urls, k):
     return out
 
 
-@pytest.mark.parametrize("make", STAGES, ids=["brute", "ring"])
-def test_tied_rows_ranked_by_url(make):
+def test_tied_rows_ranked_by_url():
     """15 pages at one point, urls in descending order, k=10: the
     nearest ten are u00..u09, whatever the partition order."""
     urls = [f"u{i:02d}" for i in range(14, -1, -1)]
     queries = (np.array([0]), np.array([10.0]), np.array([20.0]))
-    block = _block([10.5] * 15, [20.5] * 15, urls, 7)
-    got = _knn(make(queries, 10, 7), [block], 10)
+    block = _block([10.5] * 15, [20.5] * 15, urls)
+    got = _knn(queries, [block], 10)
     assert got["url"].to_pylist() == [f"u{i:02d}" for i in range(10)]
     assert got["rank"].to_pylist() == list(range(1, 11))
 
@@ -63,7 +54,6 @@ LAT = st.one_of(st.sampled_from([-90.0, 90.0, -89.9, 89.9, 0.0, np.nan, -91.5]),
                 st.floats(-90.0, 90.0))
 Q_LON = st.one_of(st.sampled_from([-180.0, 180.0, -179.9, 179.9]), st.floats(-180.0, 180.0))
 Q_LAT = st.one_of(st.sampled_from([-90.0, 90.0, -89.9, 89.9]), st.floats(-90.0, 90.0))
-S7 = grid_cell_step(7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -72,38 +62,28 @@ S7 = grid_cell_step(7)
     queries=st.lists(st.tuples(Q_LON, Q_LAT), min_size=1, max_size=4),
     k=st.integers(1, 12),
     block_rows=st.integers(1, 25),
-    res=st.sampled_from([1, 3, 7]),
 )
-# across the seam: a row one wrapped cell away is 359.95° away in d2,
-# the true nearest is 5 cells away on the same side
-@example(points=[(-179.95, 0.0), (179.9 - 5 * S7, 0.0)], queries=[(179.9, 0.0)],
-         k=1, block_rows=2, res=7)
-# the radius: the one row of ring 1 is 2.83 cells away across its
-# cell's far corner, a ring-3 row 2.0 cells away
-@example(points=[(-112.49, 67.49), (-22.49, 22.51)], queries=[(-67.51, 22.51)],
-         k=1, block_rows=2, res=3)
-# a query far outside the grid is nearer to a ring-4 row than to the
-# ring-0 row below it
-@example(points=[(22.49, 67.51), (90.01, 89.99)], queries=[(22.49, 240.0)],
-         k=1, block_rows=2, res=3)
-# null rows clamp into cell 0 (the north-west corner) and count toward no ring
+# across the seam: d2 does not wrap, so the row 0.05° west of -180 is
+# 359.95° away and the nearest is the one on the query's side
+@example(points=[(-179.95, 0.0), (179.9 - 7.0, 0.0)], queries=[(179.9, 0.0)],
+         k=1, block_rows=2)
+# null rows sort after every real row, also in a block of their own
 @example(points=[(np.nan, np.nan)] * 3 + [(-170.0, 80.0)], queries=[(-180.0, 90.0)],
-         k=1, block_rows=4, res=7)
-def test_ring_stage_equals_brute_force(points, queries, k, block_rows, res):
-    """Every block's ring-pruned top-k, merged, is the brute-force top-k
-    by ``(d2, url)`` over all rows."""
+         k=1, block_rows=3)
+def test_partial_stage_equals_brute_force(points, queries, k, block_rows):
+    """Every block's top-k, merged, is the brute-force top-k by
+    ``(d2, url)`` over all rows."""
     lon = np.array([p[0] for p in points], np.float64)
     lat = np.array([p[1] for p in points], np.float64)
     urls = [f"p{i:03d}" for i in range(len(points))]
     q = (np.arange(len(queries), dtype=np.int64),
          np.array([p[0] for p in queries]), np.array([p[1] for p in queries]))
-    blocks = [_block(lon[i:i + block_rows], lat[i:i + block_rows], urls[i:i + block_rows], res)
+    blocks = [_block(lon[i:i + block_rows], lat[i:i + block_rows], urls[i:i + block_rows])
               for i in range(0, max(len(points), 1), block_rows)]
     want = _brute(q, lon, lat, urls, k)
-    for make in STAGES:
-        got = _knn(make(q, k, res), blocks, k)
-        for j in q[0]:
-            rows = got.filter(pc.equal(got["qid"], j))
-            assert rows["url"].to_pylist() == [u for u, _ in want[j]]
-            np.testing.assert_array_equal(rows["d2"].to_numpy(), [d for _, d in want[j]])
-            assert rows["rank"].to_pylist() == list(range(1, len(want[j]) + 1))
+    got = _knn(q, blocks, k)
+    for j in q[0]:
+        rows = got.filter(pc.equal(got["qid"], j))
+        assert rows["url"].to_pylist() == [u for u, _ in want[j]]
+        np.testing.assert_array_equal(rows["d2"].to_numpy(), [d for _, d in want[j]])
+        assert rows["rank"].to_pylist() == list(range(1, len(want[j]) + 1))

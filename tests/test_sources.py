@@ -100,19 +100,6 @@ def test_read_is_one_fused_operator(ray_session, ray_jobs):
     assert not any("SplitBlocks" in n for n in names)
 
 
-@pytest.mark.parametrize("pipeline", ["flagship", "knn_pages_cellring"])
-def test_pipeline_read_fuses_with_geocode(ray_session, ray_jobs, pipeline):
-    """Each tiling pipeline is one job whose only map operator is the
-    read fused with the geocode and everything after it: the html never
-    leaves the read task."""
-    from rios_ray.pipelines import pages
-
-    getattr(pages, pipeline)(SF)
-    assert len(ray_jobs) == 1
-    maps = [op.name for op in ray_jobs[0] if "Read" in op.name or "Map" in op.name]
-    assert len(maps) == 1 and maps[0].startswith("ReadParquetRowGroups->MapBatches(geocells)"), maps
-
-
 def test_building_flagship_partials_starts_no_job(ray_session, ray_jobs):
     from rios_ray.pipelines.pages import flagship_partials
 
