@@ -35,24 +35,28 @@ _FRAME_EVERY = 2
 
 
 def _pages_sql(sf_dir: str = SF001) -> str:
-    """Parsed pages CTE: url, lang, text, lat, lon from the same parquet."""
+    """Parsed pages CTE: url, lang, text, lat, lon from the same parquet
+    (NULL lat/lon for a page without a geo token)."""
     path = synth.pages_path(sf_dir)
     return f"""
         SELECT url, lang, text,
-               CAST(regexp_extract(text, '{_GEO_RE}', 1) AS DOUBLE) AS lat,
-               CAST(regexp_extract(text, '{_GEO_RE}', 2) AS DOUBLE) AS lon
+               CAST(NULLIF(regexp_extract(text, '{_GEO_RE}', 1), '') AS DOUBLE) AS lat,
+               CAST(NULLIF(regexp_extract(text, '{_GEO_RE}', 2), '') AS DOUBLE) AS lon
           FROM read_parquet('{path}/*.parquet')
     """
 
 
 def _cell_sql(res: int = DEFAULT_GRID_RES) -> str:
-    """Grid-cell expression — identical float64 ops to cells.grid_cell_id."""
+    """Grid-cell expression — identical float64 ops to cells.grid_cell_id;
+    NULL without coordinates (DuckDB's LEAST/GREATEST skip a NULL)."""
     step = grid_cell_step(res)
     ny, nx = 1 << res, 2 << res
     return (
+        "CASE WHEN lat IS NULL OR lon IS NULL THEN NULL ELSE "
         f"LEAST(GREATEST(CAST(floor((90.0 - lat) / {step!r}) AS BIGINT), 0), {ny - 1})"
         f" * {nx}"
         f" + LEAST(GREATEST(CAST(floor((lon + 180.0) / {step!r}) AS BIGINT), 0), {nx - 1})"
+        " END"
     )
 
 
@@ -127,6 +131,7 @@ def _s2_cells_sql(level: int = 12, sf_dir: str = SF001) -> str:
     DuckDB's cos/sin/sqrt and numpy's float64 kernels agree bit-for-bit
     on this platform (verified over all sf0.01 points); the quadratic
     (u,v)->(s,t) transform and Morton interleave are recomputed natively.
+    A NULL face makes the cell NULL where a point has no coordinates.
     """
     import math
 
@@ -148,7 +153,8 @@ def _s2_cells_sql(level: int = 12, sf_dir: str = SF001) -> str:
             FROM pts
         ), fc AS (
           SELECT url, x, y, z,
-            CASE WHEN abs(x) >= abs(y) AND abs(x) >= abs(z)
+            CASE WHEN x IS NULL THEN NULL
+                 WHEN abs(x) >= abs(y) AND abs(x) >= abs(z)
                  THEN (CASE WHEN x >= 0 THEN 0 ELSE 3 END)
                  WHEN abs(y) >= abs(z) THEN (CASE WHEN y >= 0 THEN 1 ELSE 4 END)
                  ELSE (CASE WHEN z >= 0 THEN 2 ELSE 5 END) END AS face

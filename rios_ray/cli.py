@@ -128,12 +128,14 @@ def cmd_run(sf_dir: str, out: str, fresh: bool = False) -> int:
         shutil.rmtree(out, ignore_errors=True)
     res = resumable_flagship(sf_dir, out)
     final = finalize_flagship(out).to_pandas()
+    records = {p: res["manifest"].read(p) for p in res["ran"]}
     summary = {
         "ran": res["ran"],
         "skipped": res["skipped"],
         "result_rows": len(final),
         "total_pages": int(final["n_pages"].sum()),
-        "metrics": ray.get(res["collector"].summary.remote()),
+        "metrics": {p: {"rows_out": r.rows_out, "bytes_out": r.bytes_out}
+                    for p, r in records.items()},
     }
     print(json.dumps(summary))
     if own_session:

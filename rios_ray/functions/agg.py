@@ -230,8 +230,7 @@ def grouped_count(ds, keys: list[str], alias: str = "n", final_mode: str = "part
     return hash_grouped_aggregate(ds, keys, [(None, "count", alias)], final_mode)
 
 
-def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool],
-                     batch_size: int = 65536):
+def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool]):
     """Global top-k under a lexicographic order, without a global sort.
 
     Per-batch local top-k using the SAME total order as the final merge
@@ -248,7 +247,7 @@ def distributed_topk(ds, k: int, sort_cols: list[str], ascending: list[bool],
         return b.sort_by(order).slice(0, k)
 
     local = ds.map_batches(top, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=batch_size)
+                           batch_size=65536)
     return gather_final(local, top)
 
 

@@ -11,9 +11,10 @@ Scale strategy (the design constraint, per BASELINE north rule):
   (/root/reference/rios/rat.py:326-354 — small side shipped, big side
   streamed).
 - kNN IVF (`knn_embeddings_ivf`): the scale path — seeded k-means
-  centroids (driver-side, from a bounded sample) broadcast to an actor
-  pool; each batch scores only rows whose centroid falls in the query's
-  ``nprobe`` nearest centroids, cutting the matmul by ~nprobe/nlist.
+  centroids (driver-side, from a bounded sample) broadcast once and
+  held in each worker's stage cache (``util.stage_fn``); each batch
+  scores only rows whose centroid falls in the query's ``nprobe``
+  nearest centroids, cutting the matmul by ~nprobe/nlist.
   Approximate => no SQL oracle (tests assert recall vs brute force).
 - near-dup exact (`cosine_neardup`): all-pairs via broadcast of the
   full normalized matrix — the O(n^2) *baseline*, correct at any scale
@@ -45,7 +46,7 @@ import ray.data
 from ..functions.agg import gather_final
 from ..sources.embeddings import batch_matrix, embeddings_file, read_embeddings
 from ..stages.skew import ranked_head_per_key
-from ..util import default_pool
+from ..util import stage_fn
 
 BATCH_SIZE = 2048
 EMB_COPY_OFFSET = 1_000_000
@@ -128,10 +129,10 @@ def _corpus_matrix(sf_dir: str):
 
 
 class _BatchTopK:
-    """Actor-pool stage: local top-k per query per batch.
+    """Local top-k per query per batch.
 
-    The query matrix comes in via an object-store ref — shipped once per
-    actor (``__init__``), never per batch.
+    The query matrix comes in via an object-store ref — fetched once per
+    worker process (``__init__``), never per batch.
     """
 
     def __init__(self, qref, k: int):
@@ -175,12 +176,10 @@ def knn_embeddings(sf_dir: str, k: int = DEFAULT_K) -> ray.data.Dataset:
     qids, qmat = _load_matrix(sf_dir, where_mod=QUERY_MOD)
     qref = ray.put((qids, _normalize(qmat)))
     cands = read_embeddings(sf_dir, columns=["vec_id", "embedding"]).map_batches(
-        _BatchTopK,
-        fn_constructor_args=(qref, k),
+        stage_fn(_BatchTopK, qref, k),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
-        concurrency=default_pool(),
     )
     return _merge_topk(cands, k)
 
@@ -257,12 +256,10 @@ def knn_embeddings_ivf(
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]  # (nq, nprobe)
     qref = ray.put((qids, qn, cent, probe))
     cands = read_embeddings(sf_dir, columns=["vec_id", "embedding"]).map_batches(
-        _IVFTopK,
-        fn_constructor_args=(qref, k),
+        stage_fn(_IVFTopK, qref, k),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
-        concurrency=default_pool(),
     )
     return _merge_topk(cands, k)
 
@@ -310,12 +307,10 @@ def cosine_neardup(sf_dir: str, threshold: float = 0.8) -> ray.data.Dataset:
         )
     mref = ray.put((ids, mat))
     return neardup_corpus(sf_dir).map_batches(
-        _AllPairs,
-        fn_constructor_args=(mref, threshold),
+        stage_fn(_AllPairs, mref, threshold),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
-        concurrency=default_pool(),
     )
 
 
@@ -325,6 +320,31 @@ def cosine_neardup(sf_dir: str, threshold: float = 0.8) -> ray.data.Dataset:
 def _hyperplanes(dim: int, nbits: int, seed: int = 99) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, nbits))
+
+
+class _BandRows:
+    """(band, key, vec_id): one row per vector per band, ``key`` packing
+    that band's ``band_bits`` hyperplane sign bits."""
+
+    def __init__(self, pref, n_bands: int, band_bits: int):
+        self.planes = ray.get(pref)
+        self.n_bands, self.band_bits = n_bands, band_bits
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        ids = b["vec_id"].to_numpy()
+        mat = _normalize(batch_matrix(b["embedding"]))
+        bits = (mat @ self.planes) > 0  # (n, nbits)
+        by = bits.reshape(len(ids), self.n_bands, self.band_bits)
+        weights = (1 << np.arange(self.band_bits, dtype=np.int64))[None, None, :]
+        keys = (by * weights).sum(axis=2)  # (n, n_bands)
+        n = len(ids)
+        return pa.table(
+            {
+                "band": pa.array(np.tile(np.arange(self.n_bands, dtype=np.int32), n)),
+                "key": pa.array(keys.ravel()),
+                "vec_id": pa.array(np.repeat(ids, self.n_bands)),
+            }
+        )
 
 
 def cosine_neardup_lsh(
@@ -337,30 +357,8 @@ def cosine_neardup_lsh(
     exact-cosine verify inside each bucket.  Output equals
     :func:`cosine_neardup` wherever band recall is 1 (see module
     docstring for the bound)."""
-    nbits = n_bands * band_bits
-    planes = _hyperplanes(EMB_DIM, nbits)
-    pref = ray.put(planes)
+    pref = ray.put(_hyperplanes(EMB_DIM, n_bands * band_bits))
     emb_t = pa.list_(pa.float64(), EMB_DIM)
-
-    class BandRows:
-        def __init__(self):
-            self.planes = ray.get(pref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ids = b["vec_id"].to_numpy()
-            mat = _normalize(batch_matrix(b["embedding"]))
-            bits = (mat @ self.planes) > 0  # (n, nbits)
-            by = bits.reshape(len(ids), n_bands, band_bits)
-            weights = (1 << np.arange(band_bits, dtype=np.int64))[None, None, :]
-            keys = (by * weights).sum(axis=2)  # (n, n_bands)
-            n = len(ids)
-            return pa.table(
-                {
-                    "band": pa.array(np.tile(np.arange(n_bands, dtype=np.int32), n)),
-                    "key": pa.array(keys.ravel()),
-                    "vec_id": pa.array(np.repeat(ids, n_bands)),
-                }
-            )
 
     def bucket_pairs(tbl: pa.Table) -> pa.Table:
         # all (band, key) buckets of one hash partition at once
@@ -379,11 +377,10 @@ def cosine_neardup_lsh(
         return pa.table({"vec_a": pa.array(ids_s[ia]), "vec_b": pa.array(ids_s[ib])})
 
     bands = neardup_corpus(sf_dir).map_batches(
-        BandRows,
+        stage_fn(_BandRows, pref, n_bands, band_bits),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
-        concurrency=default_pool(),
     )
     from ..functions.agg import hash_grouped_aggregate, hash_partitioned_groups
     from ..functions.join import partitioned_lookup_join
@@ -511,29 +508,31 @@ def _pq_encode(mat: np.ndarray, books: list[np.ndarray]) -> np.ndarray:
     return codes
 
 
+class _Encode:
+    """(vec_id, pq_code): each vector's ``m`` subspace codes as bytes."""
+
+    def __init__(self, books_ref):
+        self.books = ray.get(books_ref)
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        mat = _normalize(batch_matrix(b["embedding"]))
+        codes = _pq_encode(mat, self.books)
+        m = len(self.books)
+        code_arr = pa.FixedSizeBinaryArray.from_buffers(
+            pa.binary(m), len(codes), [None, pa.py_buffer(codes.tobytes())]
+        )
+        return pa.table({"vec_id": b["vec_id"], "pq_code": code_arr})
+
+
 def pq_encode(sf_dir: str, m: int = 16, ks: int = 64) -> ray.data.Dataset:
     """The compression artifact: (vec_id, pq_code fixed-size binary) —
     EMB_DIM float64s (512 B) become ``m`` bytes per vector (32x here,
     512x with float64 vs 16 subspaces of a 1024-dim model).  Codebooks
     broadcast once; encoding is one matmul per subspace per batch."""
     books_ref = ray.put(pq_codebooks(sf_dir, m, ks))
-
-    class Encode:
-        def __init__(self):
-            self.books = ray.get(books_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            mat = _normalize(batch_matrix(b["embedding"]))
-            codes = _pq_encode(mat, self.books)
-            m = len(self.books)
-            code_arr = pa.FixedSizeBinaryArray.from_buffers(
-                pa.binary(m), len(codes), [None, pa.py_buffer(codes.tobytes())]
-            )
-            return pa.table({"vec_id": b["vec_id"], "pq_code": code_arr})
-
     return read_embeddings(sf_dir, columns=["vec_id", "embedding"]).map_batches(
-        Encode, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=BATCH_SIZE, concurrency=default_pool(),
+        stage_fn(_Encode, books_ref), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=BATCH_SIZE,
     )
 
 
@@ -601,12 +600,10 @@ def knn_embeddings_pq(
     books = pq_codebooks(sf_dir, m, ks)
     qref = ray.put((qids, _normalize(qmat), books))
     cands = read_embeddings(sf_dir, columns=["vec_id", "embedding"]).map_batches(
-        _PQTopK,
-        fn_constructor_args=(qref, k, shortlist),
+        stage_fn(_PQTopK, qref, k, shortlist),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
-        concurrency=default_pool(),
     )
     return _merge_topk(cands, k)
 
@@ -644,6 +641,21 @@ def ensure_centroids_sidecar(sf_dir: str, nlist: int = 16,
     return out
 
 
+class _Assign:
+    """(vec_id, cluster): each row's argmax-dot centroid."""
+
+    def __init__(self, cref):
+        self.cent = ray.get(cref)
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        mat = batch_matrix(b["embedding"])
+        scores = mat @ self.cent.T  # (n, nlist)
+        return pa.table({
+            "vec_id": b["vec_id"],
+            "cluster": pa.array(np.argmax(scores, axis=1).astype(np.int64)),
+        })
+
+
 def kmeans_assign(sf_dir: str, nlist: int = 16) -> ray.data.Dataset:
     """(vec_id, cluster): nearest-centroid assignment of every vector —
     the partitioning step of embedding-space clustering / IVF build,
@@ -661,21 +673,7 @@ def kmeans_assign(sf_dir: str, nlist: int = 16) -> ray.data.Dataset:
 
     cent_tbl = pq.read_table(ensure_centroids_sidecar(sf_dir, nlist))
     cent = batch_matrix(cent_tbl["centroid"])
-    cref = ray.put(cent)
-
-    class Assign:
-        def __init__(self):
-            self.cent = ray.get(cref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            mat = batch_matrix(b["embedding"])
-            scores = mat @ self.cent.T  # (n, nlist)
-            return pa.table({
-                "vec_id": b["vec_id"],
-                "cluster": pa.array(np.argmax(scores, axis=1).astype(np.int64)),
-            })
-
     return read_embeddings(sf_dir, columns=["vec_id", "embedding"]).map_batches(
-        Assign, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=BATCH_SIZE, concurrency=default_pool(),
+        stage_fn(_Assign, ray.put(cent)), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=BATCH_SIZE,
     )

@@ -7,15 +7,10 @@ whole pipeline is reproducible with no side files.  Decode is stubbed
 (no codecs in this container — see stages/multimodal.py); resize,
 feature extraction and frame sampling are real vectorized kernels.
 
-Stage scheduling: the stage classes are cheap to construct (codec
-resolution is an import-try; no model weights), so by default they run
-on the shared Ray TASK pool via ``stages.multimodal.stage_fn`` — a
-plain function with a per-worker-process instance cache (the
-``stages/pip.py::pip_join_fn`` pattern), avoiding the actor-pool
-cold start each execution pays (measured 4.6 s for a 0.15 s warm
-kernel at sf0.1/32cpus).  Pass ``use_actors=True`` to run the same
-classes as an actor pool — the right shape when ``__init__`` loads a
-real model/codec.
+Stage scheduling: every stage class runs on the shared Ray task pool
+through ``util.stage_fn``, one instance per worker process, with no
+actor-pool cold start per execution (measured 4.6 s for a 0.15 s warm
+kernel at sf0.1/32cpus).
 """
 
 from __future__ import annotations
@@ -27,17 +22,22 @@ import ray.data
 from ..dedup.hashing import fnv1a64
 from ..sources.pages import read_pages
 from ..stages.multimodal import (
-    DEFAULT_MEDIA_BATCH,
     AHashStage,
     FrameSampleStage,
     ImageDecodeStage,
     ImageFeatureStage,
     ResizeStage,
-    stage_fn,
 )
+from ..util import stage_fn
 
 FRAME_BYTES = 32
 FRAME_EVERY = 2
+# Rows per media stage call.  The fixture's images are tiny (<=16x16x3,
+# ~1 KB tensors) and its frame payloads ~hundreds of bytes (4096 rows
+# is ~2.5 MB/batch; 512-row batches cost 8x the dispatch for nothing).
+# Real megapixel payloads want far smaller batches.
+IMAGE_BATCH = 1024
+FRAME_BATCH = 4096
 
 
 def media_table(sf_dir: str) -> ray.data.Dataset:
@@ -65,57 +65,25 @@ def media_table(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def _media_stage(ds, cls, use_actors: bool, batch_size: int, **kwargs):
-    """One media stage, task-pool (default) or actor-pool scheduled."""
-    if use_actors:
-        from ..util import default_pool
-
-        return ds.map_batches(
-            cls, fn_constructor_kwargs=kwargs, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size,
-            concurrency=default_pool(),
-        )
+def _media_stage(ds, cls, batch_size: int, **kwargs):
     return ds.map_batches(
         stage_fn(cls, **kwargs), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=batch_size,
     )
 
 
-def image_features(
-    sf_dir: str,
-    out_h: int = 8,
-    out_w: int = 8,
-    use_actors: bool = False,
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """decode (stub codec) -> resize (real) -> per-channel stats (real).
-
-    ``batch_size`` defaults to 1024 here because the synthetic images
-    are tiny (<=16x16x3, ~1 KB tensors); with real megapixel payloads
-    pass DEFAULT_MEDIA_BATCH so batch x concurrency stays in worker
-    heaps.  ``use_actors=True`` runs each stage as an actor pool — the
-    right shape when the codec ``__init__`` loads real model weights
-    (see module docstring)."""
-    if batch_size is None:
-        batch_size = 1024
+def image_features(sf_dir: str, out_h: int = 8, out_w: int = 8) -> ray.data.Dataset:
+    """decode (stub codec) -> resize (real) -> per-channel stats (real)."""
     ds = media_table(sf_dir)
-    ds = _media_stage(ds, ImageDecodeStage, use_actors, batch_size, codec="auto")
-    ds = _media_stage(ds, ResizeStage, use_actors, batch_size,
-                      out_h=out_h, out_w=out_w)
-    return _media_stage(ds, ImageFeatureStage, use_actors, batch_size)
+    ds = _media_stage(ds, ImageDecodeStage, IMAGE_BATCH, codec="auto")
+    ds = _media_stage(ds, ResizeStage, IMAGE_BATCH, out_h=out_h, out_w=out_w)
+    return _media_stage(ds, ImageFeatureStage, IMAGE_BATCH)
 
 
-def frame_samples(sf_dir: str, use_actors: bool = False,
-                  batch_size: int = 4096) -> ray.data.Dataset:
-    """(url, frame_idx, frame): every FRAME_EVERY-th FRAME_BYTES chunk.
-
-    ``batch_size`` sizes stage calls: fixture payloads are ~hundreds of
-    bytes so 4096 rows is ~2.5 MB/batch (512-row batches cost 8x the
-    dispatch for nothing); with real multi-MB video payloads pass a
-    smaller value so batch x concurrency stays in worker heaps.
-    """
+def frame_samples(sf_dir: str) -> ray.data.Dataset:
+    """(url, frame_idx, frame): every FRAME_EVERY-th FRAME_BYTES chunk."""
     return _media_stage(
-        media_table(sf_dir), FrameSampleStage, use_actors, batch_size,
+        media_table(sf_dir), FrameSampleStage, FRAME_BATCH,
         frame_bytes=FRAME_BYTES, every=FRAME_EVERY,
     )
 
@@ -244,21 +212,16 @@ def ensure_pixels_sidecar(sf_dir: str, out_h: int = 8, out_w: int = 8) -> str:
     return out
 
 
-def image_ahash(sf_dir: str, out_h: int = 8, out_w: int = 8,
-                use_actors: bool = False,
-                batch_size: int | None = None) -> ray.data.Dataset:
+def image_ahash(sf_dir: str, out_h: int = 8, out_w: int = 8) -> ray.data.Dataset:
     """Perceptual average-hash of every image: (url, ahash) — the
     standard near-duplicate IMAGE fingerprint (group by ahash, or
     Hamming-band it exactly like simhash).  The decode -> resize ->
     hash chain runs FUSED in one stage (``stages.multimodal.AHashStage``
-    — pixels never cross the object store), on the shared task pool by
-    default (per-worker cache; the pool cold start was the whole cost
+    — pixels never cross the object store), on the shared task pool
+    (per-worker cache; an actor pool's cold start was the whole cost
     of this pipeline at sf0.1); the hash itself is bit-exact against
     the pixel-sidecar SQL oracle.
     """
-    if batch_size is None:
-        batch_size = 1024
     return _media_stage(
-        media_table(sf_dir), AHashStage, use_actors, batch_size,
-        out_h=out_h, out_w=out_w,
+        media_table(sf_dir), AHashStage, IMAGE_BATCH, out_h=out_h, out_w=out_w,
     )

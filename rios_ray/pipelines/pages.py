@@ -26,12 +26,13 @@ from ..stages.cellassign import (
     DEFAULT_HEX_RES,
     DEFAULT_S2_LEVEL,
     assign_cells,
+    cell_column,
 )
 from ..stages.geocode import extract_text, geocode
 from ..stages.knn import knn_final_merge_all, knn_partial_fn
 from ..stages.pip import pip_join_fn
 
-GEO_COLS = ["url", "warc_ts", "lang", "extracted_text", "lat", "lon"]
+GEO_COLS = ["url", "lang", "extracted_text", "lat", "lon"]
 
 # Rows per batch for the vectorized stages chained after
 # ``geocoded_pages`` / ``page_cells`` in other pipelines (PIP join,
@@ -55,31 +56,26 @@ def geocoded_pages(
     s2_level: int = DEFAULT_S2_LEVEL,
     hex_res: int = DEFAULT_HEX_RES,
     keep_text: bool = True,
-    keep_ts: bool = False,
     paths: list[str] | None = None,
     families: tuple[str, ...] = ("grid", "s2", "hex"),
 ) -> ray.data.Dataset:
     """pages -> extract_text (from html, byte-identical) -> geocode -> cells.
 
-    Prune at the read: ``warc_ts`` is decoded only when a consumer asks
-    for it (``keep_ts``); no current pipeline does.  ``families`` prunes
-    the cell-index computation the same way — a grid-only consumer
-    skips the s2 trig and hex cube-rounding per row.
+    Prune at the read: only ``url, html, lang`` are decoded.
+    ``families`` prunes the cell-index computation the same way — a
+    grid-only consumer skips the s2 trig and hex cube-rounding per row.
     """
-    read_cols = ["url", "warc_ts", "html", "lang"] if keep_ts else ["url", "html", "lang"]
     # balanced row-group runs on full scans; one task per shard when the
     # caller restricts paths (the checkpoint-resume unit)
-    ds = read_pages(sf_dir, columns=read_cols, paths=paths,
+    ds = read_pages(sf_dir, columns=["url", "html", "lang"], paths=paths,
                     bundle_files=paths is None)
     ds = ds.map_batches(extract_text, batch_format="pyarrow", zero_copy_batch=True,
                         batch_size=None)
     ds = ds.map_batches(geocode, batch_format="pyarrow", zero_copy_batch=True,
                         batch_size=None)
     # html served its purpose; drop the heavy binary column before any shuffle
-    cols = [c for c in GEO_COLS if (keep_ts or c != "warc_ts")]
-    if not keep_text:
-        cols = [c for c in cols if c != "extracted_text"]
-    ds = ds.select_columns(cols)
+    ds = ds.select_columns(GEO_COLS if keep_text else
+                           [c for c in GEO_COLS if c != "extracted_text"])
     return ds.map_batches(
         lambda b: assign_cells(b, grid_res, s2_level, hex_res, families),
         batch_format="pyarrow",
@@ -121,10 +117,11 @@ def geocells(b: pa.Table, grid_res: int = DEFAULT_GRID_RES, url: bool = False) -
     ex = pc.extract_regex(pc.cast(b["html"], pa.string()), GEO_PATTERN)
     lat = pc.cast(pc.struct_field(ex, "glat"), pa.float64())
     lon = pc.cast(pc.struct_field(ex, "glon"), pa.float64())
-    cell = C.grid_cell_id(lon.to_numpy(zero_copy_only=False),
-                          lat.to_numpy(zero_copy_only=False), grid_res)
+    lon_np = lon.to_numpy(zero_copy_only=False)
+    lat_np = lat.to_numpy(zero_copy_only=False)
+    cell = cell_column(C.grid_cell_id(lon_np, lat_np, grid_res), lon_np, lat_np)
     cols = {"url": b["url"]} if url else {}
-    return pa.table({**cols, "lon": lon, "lat": lat, "cell": pa.array(cell)})
+    return pa.table({**cols, "lon": lon, "lat": lat, "cell": cell})
 
 
 def page_cells(sf_dir: str, grid_res: int = DEFAULT_GRID_RES, url: bool = False,

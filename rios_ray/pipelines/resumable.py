@@ -38,17 +38,12 @@ def _build_shard_partials(sf_dir: str, polys_ref):
 
 def resumable_flagship(sf_dir: str, out_dir: str) -> dict:
     """Run (or resume) the flagship at shard granularity.  Returns the
-    run_resumable result dict (ran/skipped/manifest/collector)."""
+    run_resumable result dict (ran/skipped/manifest)."""
     pages_dir = synth.ensure_pages(sf_dir)
     ppath, _ = synth.ensure_polygons()
     polys_ref = ray.put(pq.read_table(ppath))
     partitions = shard_partitions(pages_dir)
-    return run_resumable(
-        partitions,
-        _build_shard_partials(sf_dir, polys_ref),
-        out_dir,
-        stage="flagship_partials",
-    )
+    return run_resumable(partitions, _build_shard_partials(sf_dir, polys_ref), out_dir)
 
 
 def finalize_flagship(out_dir: str) -> ray.data.Dataset:

@@ -1,4 +1,4 @@
-"""Checkpoint-resume runtime: per-partition lineage records + metrics.
+"""Checkpoint-resume runtime: per-partition lineage records.
 
 The reference has no checkpointing (any worker exception aborts the
 run, ``/root/reference/rios/applier.py:1047-1052``); the BASELINE north
@@ -18,8 +18,7 @@ rule requires it, so this layer is designed rather than ported:
   exact by construction.  Commit is atomic (tmp + rename), so a record
   either exists complete or not at all; an attempt marker beside it
   counts the tries of a partition that started but never committed.
-- **Metrics** = a per-run actor accumulating (stage, partition) ->
-  rows/bytes/batches, fed as each block is written; nothing waits on it.
+  The record is the one per-partition count: a run starts no actor.
 
 Datasets are built on the driver thread and only executed in the window
 threads, which write blocks with pyarrow's ``ParquetWriter``, never Ray
@@ -53,7 +52,8 @@ LINEAGE_DIRNAME = "_lineage"
 
 @ray.remote(num_cpus=0)
 class MetricsCollector:
-    """Run-long (stage, partition) -> {rows, bytes, batches} accumulator.
+    """(stage, partition) -> {rows, bytes, batches} accumulator, the
+    opt-in cap-drop report of ``pipelines.dedup.winnow_pairs(metrics=...)``.
 
     The RIOS analogue is the merged ``Timers``/accumulator state
     (``/root/reference/rios/structures.py:770-902``), kept here in one
@@ -144,7 +144,7 @@ class Manifest:
 # --------------------------------------------------------------------------
 
 
-def _write_blocks(ds, part_dir: str, collector, stage: str, name: str) -> tuple[int, int]:
+def _write_blocks(ds, part_dir: str) -> tuple[int, int]:
     """Execute ``ds`` and stream its non-empty output blocks (which
     share one schema) into one Parquet file, a row group each; returns
     (rows, bytes) from its footer and size.  One file per partition
@@ -161,7 +161,6 @@ def _write_blocks(ds, part_dir: str, collector, stage: str, name: str) -> tuple[
                 if writer is None:
                     writer = pq.ParquetWriter(path, table.schema)
                 writer.write_table(table)
-                collector.add.remote(stage, name, table.num_rows, table.nbytes)
     finally:
         if writer is not None:
             writer.close()
@@ -170,13 +169,7 @@ def _write_blocks(ds, part_dir: str, collector, stage: str, name: str) -> tuple[
     return pq.read_metadata(path).num_rows, os.path.getsize(path)
 
 
-def run_resumable(
-    partitions: dict[str, list[str]],
-    build,
-    out_dir: str,
-    collector=None,
-    stage: str = "write",
-) -> dict:
+def run_resumable(partitions: dict[str, list[str]], build, out_dir: str) -> dict:
     """Run ``build(name, inputs) -> Dataset`` for every partition without
     a lineage record, ``min(cluster CPUs, pending)`` at a time; write
     each to ``out_dir/part=<name>/`` and commit its record as soon as it
@@ -191,13 +184,11 @@ def run_resumable(
     partition order) is re-raised.
 
     ``partitions``: partition name -> list of input paths (recorded as
-    lineage).  Returns {"ran": [...], "skipped": [...], "manifest": M,
-    "collector": C}, both lists in partition order.
+    lineage).  Returns {"ran": [...], "skipped": [...], "manifest": M},
+    both lists in partition order.
     """
     manifest = Manifest(out_dir)
     done = manifest.done()
-    if collector is None:
-        collector = MetricsCollector.remote()
     skipped = [n for n in partitions if n in done]
     pending = [n for n in partitions if n not in done]
     try:
@@ -212,7 +203,7 @@ def run_resumable(
         try:
             # idempotent retry: replace any partial output of a failed try
             shutil.rmtree(part_dir, ignore_errors=True)
-            rows, nbytes = _write_blocks(ds, part_dir, collector, stage, name)
+            rows, nbytes = _write_blocks(ds, part_dir)
             manifest.commit(LineageRecord(
                 partition=name, inputs=list(partitions[name]), rows_out=rows,
                 bytes_out=nbytes, wall_s=round(time.time() - t0, 3),
@@ -243,8 +234,7 @@ def run_resumable(
         errors[name].add_note(f"partition {name!r}; {len(errors)} of "
                               f"{len(pending)} pending partitions failed")
         raise errors[name]
-    return {"ran": pending, "skipped": skipped, "manifest": manifest,
-            "collector": collector}
+    return {"ran": pending, "skipped": skipped, "manifest": manifest}
 
 
 def shard_partitions(path: str) -> dict[str, list[str]]:

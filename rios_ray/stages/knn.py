@@ -13,11 +13,10 @@ scale path (per-worker cell-ring search over a co-partitioned index) is
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pyarrow as pa
 
+from ..util import stage_fn
 from .skew import ranked_head_per_key
 
 
@@ -95,13 +94,10 @@ def knn_final_merge_all(k: int):
 
 
 def knn_partial_fn(queries, k: int = 10):
-    """Task-pool variant of :class:`KnnPartialStage`, built once per
-    worker process per query ref (as stages.pip.pip_join_fn)."""
+    """:class:`KnnPartialStage` as a task-pool function, built once per
+    worker process per query ref (``util.stage_fn``)."""
     import ray
-
-    from ..util import cached_stage
 
     if not isinstance(queries, ray.ObjectRef):
         queries = ray.put(queries)
-    return partial(cached_stage, "knn", (queries.hex(), k),
-                   partial(KnnPartialStage, queries, k))
+    return stage_fn(KnnPartialStage, queries, k)

@@ -1,8 +1,9 @@
-"""Multimodal (image/audio/video-as-binary) actor-pool stages.
+"""Multimodal (image/audio/video-as-binary) stages.
 
 Opaque ``binary`` payload columns + typed metadata, processed by
-callable-class stages for ``map_batches(Cls, concurrency=N)`` — the
-same stateful-stage contract as the reference's per-worker caches
+callable-class stages run as ``map_batches(util.stage_fn(Cls, ...))``
+— built once per worker process and reused per batch, the
+reference's per-worker caches
 (``/root/reference/rios/imagereader.py:76-84``: open once per worker,
 reuse per block).
 
@@ -20,20 +21,13 @@ Tensor layout: pixels travel as flat ``list<uint8>`` + (height, width,
 channels) columns — zero-copy reshape to (h, w, c) numpy views inside
 each stage, mirroring the dense band-major block payloads of the
 reference (``/root/reference/rios/imagereader.py:65-121``).
-
-Batch sizing: payloads are large; callers should use a small
-``batch_size`` (DEFAULT_MEDIA_BATCH) so batch x concurrency stays in
-worker heaps — the streaming executor's backpressure does the rest.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pyarrow as pa
 
-DEFAULT_MEDIA_BATCH = 64
 _CHANNELS = 3
 
 
@@ -67,28 +61,6 @@ def _pixels_table(
         else np.zeros(0, dtype=np.uint8)
     )
     return _pixels_table_flat(base, flat, heights, widths)
-
-
-def stage_fn(cls, **kwargs):
-    """Task-pool wrapper for a callable-class stage, one instance per
-    worker process per (class, ctor args) (``util.cached_stage``).
-
-    Actor pools pay a cold start per execution (process spawn +
-    re-import); for stages whose ``__init__`` is cheap (codec
-    resolution, a few params — no model weights) that spin-up dominates
-    short runs: image_ahash measured 4.6 s for a 0.15 s warm kernel at
-    sf0.1/32cpus.  Ray *task* workers stay warm across executions, so a
-    per-process cache gives build-once-per-process semantics with zero
-    pool spin-up — the ``stages/pip.py::pip_join_fn`` pattern
-    (BASELINE.md optimization #2).  Each class is its own cache kind, so
-    a fused chain of media stages keeps one instance of each.  Use the
-    actor-pool class directly when ``__init__`` is genuinely expensive
-    (real model-loading codecs).
-    """
-    from ..util import cached_stage
-
-    return partial(cached_stage, (cls.__module__, cls.__qualname__),
-                   tuple(sorted(kwargs.items())), partial(cls, **kwargs))
 
 
 def fake_decode_batch(
@@ -140,7 +112,7 @@ def fake_decode(payload: bytes, height: int, width: int) -> np.ndarray:
 class ImageDecodeStage:
     """binary payload -> pixel tensor rows.
 
-    ``__init__`` resolves the codec ONCE per actor (the expensive
+    ``__init__`` resolves the codec ONCE per worker process (the expensive
     model/codec load slot); ``__call__`` is per batch.
     """
 

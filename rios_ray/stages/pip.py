@@ -1,29 +1,27 @@
-"""Point-in-polygon broadcast join as an actor-pool stage.
+"""Point-in-polygon broadcast join as a per-process cached stage.
 
 The reference rasterizes each vector layer exactly once per process via
 ``RasterizationMgr`` double-checked locking
-(``/root/reference/rios/structures.py:1062-1096``); the Ray-native
-equivalent is an actor pool: the polygon index is built ONCE per actor
-in ``__init__`` (from a ``ray.put`` broadcast ref or a parquet path) and
-every ``__call__`` refines a zero-copy Arrow batch.  No shuffle: the
-small side travels once per actor, not once per batch.
+(reference ``rios/structures.py:1062-1096``); here the polygon
+index is built ONCE per worker process in ``__init__`` (from a
+``ray.put`` broadcast ref or a parquet path) and every ``__call__``
+refines a zero-copy Arrow batch.  No shuffle: the small side travels
+once per worker, not once per batch.
 
 Use with::
 
-    polys_ref = ray.put(pyarrow.parquet.read_table(path))
-    ds.map_batches(PIPJoinStage, fn_constructor_kwargs={"polygons": polys_ref},
-                   batch_format="pyarrow", concurrency=N)
+    ds.map_batches(pip_join_fn(pyarrow.parquet.read_table(path)),
+                   batch_format="pyarrow")
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..spatial import DEFAULT_INDEX_RES, PolygonIndex
+from ..util import stage_fn
 
 
 class PIPJoinStage:
@@ -93,24 +91,11 @@ class PIPJoinStage:
 
 def pip_join_fn(polygons, index_res: int = DEFAULT_INDEX_RES,
                 keep_cols: list[str] | None = None, outer: bool = False):
-    """Task-pool variant of :class:`PIPJoinStage`, its index built once
-    per worker process (``util.cached_stage``).
-
-    Actor pools pay a cold-start per execution (each new pool spawns
-    processes and re-imports; measured ~5x effective parallelism on a
-    26 s run at 32 cpus).  Ray *task* workers are shared and stay warm
-    across executions, so caching per process by the broadcast ref gives
-    the reference's ``RasterizationMgr`` (structures.py:1062-1096)
-    semantics with no pool spin-up.  Tasks ship only the ObjectRef; a
-    polygon table passed by value is broadcast here first.
-    """
+    """:class:`PIPJoinStage` as a task-pool function, its index built
+    once per worker process (``util.stage_fn``).  Tasks ship only the
+    ObjectRef; a polygon table passed by value is broadcast here first."""
     import ray
-
-    from ..util import cached_stage
 
     if not isinstance(polygons, (str, ray.ObjectRef)):
         polygons = ray.put(polygons)
-    key = (polygons if isinstance(polygons, str) else polygons.hex(), index_res,
-           tuple(keep_cols or ()), outer)
-    return partial(cached_stage, "pip", key,
-                   partial(PIPJoinStage, polygons, index_res, keep_cols, outer))
+    return stage_fn(PIPJoinStage, polygons, index_res, keep_cols, outer)

@@ -113,3 +113,41 @@ def test_cell_band_math_vs_duckdb(ray_session):
     assert (g["band_diff"] == g["n_a"] - g["n_b"]).all()
     assert np.array_equal(g["band_ratio"].to_numpy(),
                           g["n_a"].to_numpy() / g["n_b"].to_numpy())
+
+
+@pytest.mark.parametrize("name", ["geocode_cells", "s2_cells", "hex_cells", "cell_counts"])
+def test_tokenless_page_has_null_cells(ray_session, tmp_path, monkeypatch, name):
+    """A page without a ``geo:`` token has NaN coordinates and a NULL
+    cell in every family, as in the oracle SQL, not a real cell id."""
+    import os
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import __ray_entry__ as entrymod
+    from tools.check_correctness import compare, to_pandas
+
+    pages = pq.read_table(synth.ensure_pages(SF)).slice(0, 40)
+    tokenless = pages.slice(3, 1)
+    for col in ("html", "text"):
+        stripped = pc.replace_substring_regex(
+            tokenless[col].cast(pa.string()), r"geo:\S+", "").cast(tokenless[col].type)
+        tokenless = tokenless.set_column(tokenless.schema.get_field_index(col), col, stripped)
+    pages = pa.concat_tables([pages.slice(0, 3), tokenless, pages.slice(4)])
+
+    sql, base_sql = entrymod.oracle_sql()[name], entrymod._pages_sql()
+    monkeypatch.setattr(synth, "PAGES_ROOT", str(tmp_path))
+    sf = "sf0.00004"
+    os.makedirs(synth.pages_path(sf))
+    pq.write_table(pages, os.path.join(synth.pages_path(sf), "part-00000.parquet"))
+    open(os.path.join(synth.pages_path(sf), "_SUCCESS"), "w").close()
+
+    got = to_pandas(entrymod.queries()[name](sf))
+    want = duckdb.sql(sql.replace(base_sql, entrymod._pages_sql(sf))).df()
+    verdict, problems = compare(got, want)
+    assert not problems, problems
+    col = {"s2_cells": "s2_cell", "hex_cells": "hex_cell"}.get(name, "cell")
+    assert got[col].isna().sum() == want[col].isna().sum() == 1

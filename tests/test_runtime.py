@@ -1,5 +1,5 @@
-"""Checkpoint-resume runtime tests: lineage records, metrics, skip-on-
-resume, and parity of a resumed run with the direct pipeline."""
+"""Checkpoint-resume runtime tests: lineage records, skip-on-resume,
+and parity of a resumed run with the direct pipeline."""
 
 import asyncio
 import json
@@ -42,8 +42,18 @@ def _plan_ops(ds) -> list:
     return ops
 
 
-def test_fresh_run_commits_all_partitions(ray_session, out_dir):
+def test_fresh_run_commits_all_partitions(ray_session, out_dir, monkeypatch):
+    started = []  # the module of every actor class started during the run
+    remote = ray.actor.ActorClass._remote
+
+    def record(self, *args, **kwargs):
+        started.append(self.__ray_metadata__.modified_class.__module__)
+        return remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.actor.ActorClass, "_remote", record)
     res = resumable_flagship(SF, out_dir)
+    # the lineage record is the per-partition count: the run feeds no actor
+    assert not [m for m in started if m.startswith("rios_ray")], started
     assert res["skipped"] == []
     assert len(res["ran"]) >= 1
     manifest = res["manifest"]
@@ -54,9 +64,6 @@ def test_fresh_run_commits_all_partitions(ray_session, out_dir):
     assert rec.rows_out > 0
     assert rec.bytes_out > 0
     assert rec.wall_s >= 0
-    # metrics actor saw every partition
-    totals = ray.get(res["collector"].partition_totals.remote("flagship_partials"))
-    assert set(totals) == set(res["ran"])
     # lineage rows are the rows in each part= file's footer
     for name in res["ran"]:
         path = os.path.join(out_dir, f"part={name}", "part.parquet")
@@ -77,9 +84,6 @@ def test_resume_skips_committed_and_redoes_missing(ray_session, out_dir):
     second = resumable_flagship(SF, out_dir)
     assert second["ran"] == [victim]
     assert set(second["skipped"]) == all_parts - {victim}
-    # the redone partition's metrics cover only that partition
-    totals = ray.get(second["collector"].partition_totals.remote("flagship_partials"))
-    assert set(totals) == {victim}
     resumed = _table(finalize_flagship(out_dir))
     assert resumed.equals(fresh)
     assert resumed.equals(_flagship_sorted())

@@ -1,5 +1,5 @@
 """The footer-planned Parquet source (``sources.parquet``) and the
-per-process stage cache (``util.cached_stage``)."""
+per-process stage cache (``util.stage_fn``)."""
 
 import functools
 import os
@@ -114,15 +114,18 @@ def test_building_flagship_partials_starts_no_job(ray_session, ray_jobs):
 
 
 def _stage_fns():
+    from rios_ray.pipelines.embeddings import _Assign
     from rios_ray.stages.knn import KnnPartialStage, knn_partial_fn
-    from rios_ray.stages.multimodal import ResizeStage, stage_fn
+    from rios_ray.stages.multimodal import ResizeStage
     from rios_ray.stages.pip import PIPJoinStage, pip_join_fn
+    from rios_ray.util import stage_fn
 
     polys = pq.read_table(synth.ensure_polygons()[0])
     queries = pq.read_table(synth.ensure_knn_queries())
     return [(PIPJoinStage, pip_join_fn(ray.put(polys), keep_cols=["cell"])),
             (KnnPartialStage, knn_partial_fn(ray.put(queries), 10)),
-            (ResizeStage, stage_fn(ResizeStage, size=4))]
+            (ResizeStage, stage_fn(ResizeStage, size=4)),
+            (_Assign, stage_fn(_Assign, ray.put(np.eye(4))))]
 
 
 def test_stage_built_once_across_task_copies(ray_session, monkeypatch):
@@ -141,7 +144,7 @@ def test_stage_built_once_across_task_copies(ray_session, monkeypatch):
 
 def test_one_build_per_worker(ray_session):
     """32 tasks on 4 CPUs: every worker process builds the stage once."""
-    from rios_ray.stages.multimodal import stage_fn
+    from rios_ray.util import stage_fn
 
     class BuildTag:
         """Labels every row with its process and its build (a local

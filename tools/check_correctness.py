@@ -85,6 +85,15 @@ def compare(ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> tuple[dict, list[str]
     return verdict, problems
 
 
+def oracle_connection(sf_dir: str) -> duckdb.DuckDBPyConnection:
+    """DuckDB with one view per ``sf_dir/*.parquet`` table, named by file."""
+    con = duckdb.connect()
+    for t in glob.glob(os.path.join(sf_dir, "*.parquet")):
+        name = os.path.splitext(os.path.basename(t))[0]
+        con.sql(f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{t}')")
+    return con
+
+
 def main() -> int:
     args = [a for a in sys.argv[1:] if a != "--window"]
     window_only = "--window" in sys.argv
@@ -103,10 +112,7 @@ def main() -> int:
         qs = dict(list(qs.items())[:50])
     oracles = entrymod.oracle_sql()
 
-    con = duckdb.connect()
-    for t in glob.glob(os.path.join(sf_dir, "*.parquet")):
-        name = os.path.splitext(os.path.basename(t))[0]
-        con.sql(f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{t}')")
+    con = oracle_connection(sf_dir)
 
     ledger: dict[str, dict] = {}
     failures = 0
