@@ -58,6 +58,7 @@ import pyarrow.compute as pc
 import ray
 import pyarrow.parquet as pq
 
+from . import util
 from .gridmodel import (
     DEFAULT_BLOCK_XSIZE,
     DEFAULT_BLOCK_YSIZE,
@@ -1151,10 +1152,10 @@ def apply(user_fn, infiles: dict, outfiles: dict, other_args=None,
             poller = threading.Thread(target=_poll, daemon=True)
             poller.start()
 
-        # ---- one map job: contiguous runs of blocks, ~2 per CPU ----
+        # ---- one map job, one wave: a contiguous run of blocks per CPU ----
         if not ray.is_initialized():
             ray.init()
-        n_tasks = min(n_blocks, 2 * int(ray.cluster_resources().get("CPU", 1)))
+        n_tasks = min(n_blocks, util.cluster_cpus())
         runs = [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
         job = ray.data.from_items([{"task": i} for i in range(n_tasks)],
                                   override_num_blocks=n_tasks).map_batches(

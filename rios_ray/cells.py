@@ -49,8 +49,9 @@ def grid_cell_id(lon: np.ndarray, lat: np.ndarray, res: int) -> np.ndarray:
     step = grid_cell_step(res)
     ny = 1 << res
     nx = 2 << res
-    cy = np.floor((90.0 - np.asarray(lat, dtype=np.float64)) / step).astype(np.int64)
-    cx = np.floor((np.asarray(lon, dtype=np.float64) + 180.0) / step).astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN (tokenless) rows are masked to NULL later
+        cy = np.floor((90.0 - np.asarray(lat, dtype=np.float64)) / step).astype(np.int64)
+        cx = np.floor((np.asarray(lon, dtype=np.float64) + 180.0) / step).astype(np.int64)
     cy = np.clip(cy, 0, ny - 1)
     cx = np.clip(cx, 0, nx - 1)
     return cy * nx + cx
@@ -200,8 +201,9 @@ def s2_cell_id(lon: np.ndarray, lat: np.ndarray, level: int = 12) -> np.ndarray:
             default=-x / z,
         )
     n = 1 << level
-    i = np.clip(np.floor(_uv_to_st(u) * n), 0, n - 1).astype(np.uint64)
-    j = np.clip(np.floor(_uv_to_st(v) * n), 0, n - 1).astype(np.uint64)
+    with np.errstate(invalid="ignore"):  # NaN rows, as in grid_cell_id
+        i = np.clip(np.floor(_uv_to_st(u) * n), 0, n - 1).astype(np.uint64)
+        j = np.clip(np.floor(_uv_to_st(v) * n), 0, n - 1).astype(np.uint64)
     pos = morton_interleave(i, j)
     return ((face.astype(np.uint64) << np.uint64(2 * level)) | pos).view(np.int64)
 
@@ -248,7 +250,8 @@ def _axial_round(qf: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray
     fix_z = ~fix_x & (dz > dy)
     rx = np.where(fix_x, -ry - rz, rx)
     rz = np.where(fix_z, -rx - ry, rz)
-    return rx.astype(np.int64), rz.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN rows, as in grid_cell_id
+        return rx.astype(np.int64), rz.astype(np.int64)
 
 
 def hex_cell_id(lon: np.ndarray, lat: np.ndarray, res: int = 8) -> np.ndarray:

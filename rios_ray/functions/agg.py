@@ -18,7 +18,8 @@ Two design decisions, both measured (sf0.1, 32 cpus, 245k partial rows,
 :func:`hash_partitioned_groups` is the only keyed exchange in the
 engine: every key-co-locating stage (aggregates, sessions, joins,
 dedup buckets, skew caps) goes through it.  It owns the key hash
-(:func:`_part_of`) and the partition count (:func:`cluster_partitions`),
+(:func:`_part_of`) and the partition count (one per cluster CPU,
+:func:`util.cluster_cpus`),
 so one key lands in one partition by one policy everywhere, and no
 caller picks a partition count.
 """
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..util import cluster_cpus
 
 PARTIAL_BATCH = 65536
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -47,20 +50,6 @@ def _part_of(batch: pa.Table, keys: list[str], num_partitions: int) -> np.ndarra
                 v = fnv1a64_arrow(col)
             h = (h ^ v) * _HASH_MIX
     return (h % np.uint64(num_partitions)).astype(np.int64)
-
-
-def cluster_partitions() -> int:
-    """The keyed-exchange partition count: one partition per cluster CPU.
-
-    The sort-based exchange runs one ``partition_fn`` task per non-empty
-    sorted range, so partitions beyond the CPU count only add task
-    waves, each paying the per-task fixed cost.  Measured at 4 CPUs,
-    sf0.1, best of 4: 4 partitions beat 8 and 16 on every
-    exchange-bound entry (``neardup_triangles`` 1.52 / 1.74 / 1.96 s,
-    ``rel_q5`` 0.74 / 0.80 / 0.91 s, the sessions within noise)."""
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
 def rename_aggregates(g: pa.Table, spec: list[tuple], names: list[str]) -> pa.Table:
@@ -124,9 +113,8 @@ def gathered_blocks(ds) -> list[pa.Table]:
 
 def gather_final(ds, fn):
     """Run a bounded single-block final on the driver: ``fn`` over the
-    concatenation of ``ds``'s non-empty blocks, returned as an executed
-    Dataset whose schema and row count are known, so ``schema()``,
-    ``to_arrow_refs()`` and ``count()`` start no further job.  Only for
+    concatenation of ``ds``'s non-empty blocks, returned
+    :func:`in_memory`.  Only for
     finals whose input is bounded (grid cells, k x blocks x queries),
     like the driver fold of the reference's single-pass statistics
     (``rios/calcstats.py:656-692``).  A lazy ``repartition(1)`` final
@@ -136,12 +124,17 @@ def gather_final(ds, fn):
     An input with no rows gives a zero-row Dataset without calling
     ``fn``; an exception from ``fn`` reaches the caller as raised.
     """
+    tables = gathered_blocks(ds)
+    return in_memory(fn(pa.concat_tables(tables, promote_options="default")) if tables
+                     else pa.table({}))
+
+
+def in_memory(table: pa.Table):
+    """A driver-side result as an executed Dataset, so ``schema()``,
+    ``to_arrow_refs()`` and ``count()`` start no job."""
     import ray.data
 
-    tables = gathered_blocks(ds)
-    out = ray.data.from_arrow(
-        fn(pa.concat_tables(tables, promote_options="default")) if tables
-        else pa.table({}))
+    out = ray.data.from_arrow(table)
     out._plan.execute()  # in-memory source: no job, marks the plan executed
     return out
 
@@ -183,15 +176,19 @@ def hash_grouped_aggregate(
     # pure dispatch overhead (measured 6 s wall for 0.2 s of work);
     # P coalesced blocks -> 2P tasks
     return hash_partitioned_groups(
-        partials.repartition(cluster_partitions()), keys,
+        partials.repartition(cluster_cpus()), keys,
         lambda t: combine_partials(t, keys, aggs))
 
 
 def hash_partitioned_groups(ds, keys: list[str], partition_fn):
     """The engine's keyed exchange: co-locate every key group in one of
-    :func:`cluster_partitions` hash partitions, then run
+    :func:`util.cluster_cpus` hash partitions, then run
     ``partition_fn`` ONCE per partition over the whole partition table
     (all groups of that partition at once).
+
+    One ``partition_fn`` task per CPU: at 4 CPUs, sf0.1, best of 4, 4
+    partitions beat 8 and 16 (``neardup_triangles`` 1.52 / 1.74 / 1.96 s,
+    ``rel_q5`` 0.74 / 0.80 / 0.91 s, the sessions within noise).
 
     A key's partition is :func:`_part_of` of its key columns, the same
     for every caller.  Results do not depend on the partition count
@@ -206,7 +203,7 @@ def hash_partitioned_groups(ds, keys: list[str], partition_fn):
     ``partition_fn`` receives a ``pa.Table`` without the ``_part``
     column and must handle multiple key groups itself.
     """
-    num_partitions = cluster_partitions()
+    num_partitions = cluster_cpus()
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(

@@ -701,7 +701,7 @@ def neardup_pagerank(
     """
     import pandas as pd
 
-    from ..functions.agg import grouped_exact_float_sum, hash_grouped_aggregate
+    from ..functions.agg import grouped_exact_float_sum, hash_grouped_aggregate, in_memory
 
     pairs = minhash_pairs(sf_dir, ngram=ngram, threshold=threshold)
 
@@ -724,10 +724,8 @@ def neardup_pagerank(
     deg_ds = hash_grouped_aggregate(edges, ["src"], [(None, "count", "deg")]).materialize()
     n_nodes = deg_ds.count()
     if n_nodes == 0:
-        return ray.data.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.float64())})
-        )
+        return in_memory(pa.table({"doc_id": pa.array([], pa.int64()),
+                                   "rank": pa.array([], pa.float64())}))
     # one shared IEEE op per scalar, mirrored literally in the oracle
     r0 = 1.0 / n_nodes
     base = (1.0 - damping) / n_nodes
@@ -757,7 +755,7 @@ def neardup_pagerank(
             pos = np.searchsorted(nodes, sums["dst"].to_numpy())
             s[pos] = sums["s"].to_numpy()
             rank = base + damping * s  # elementwise: one mul + one add
-        return ray.data.from_arrow(pa.table({
+        return in_memory(pa.table({
             "doc_id": pa.array(nodes, type=pa.int64()),
             "rank": pa.array(rank, type=pa.float64()),
         }))

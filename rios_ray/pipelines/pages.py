@@ -15,7 +15,6 @@ from functools import partial
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data
 
 from .. import synth
@@ -93,11 +92,10 @@ def spatial_join(sf_dir: str, **geo_kwargs) -> ray.data.Dataset:
     capped effective parallelism at ~5x on a 32-cpu run).
     """
     ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
     geo_kwargs.setdefault("families", ("grid",))
     ds = geocoded_pages(sf_dir, keep_text=False, **geo_kwargs)
     return ds.map_batches(
-        pip_join_fn(polys_ref),
+        pip_join_fn(ppath),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=BATCH_SIZE,
@@ -142,7 +140,7 @@ FLAGSHIP_KEYS = ["cell", "category"]
 FLAGSHIP_AGGS = [(None, "count", "n_pages")]
 
 
-def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
+def flagship_partials(sf_dir: str, polygons, grid_res: int = DEFAULT_GRID_RES,
                       paths: list[str] | None = None) -> ray.data.Dataset:
     """The flagship's exchange-free map chain: one ``(cell, category,
     n_pages)`` partial per block, to be folded with
@@ -153,13 +151,13 @@ def flagship_partials(sf_dir: str, polys_ref, grid_res: int = DEFAULT_GRID_RES,
     is throughput): reads ONLY ``html``, geocodes it with
     :func:`geocells` (grid cell only, no s2/hex), and the PIP stage
     keeps only ``cell``.  Read, geocode, join and partial aggregate
-    run as one fused operator, one task per read block; ``paths`` is
-    :func:`page_cells`'.
+    run as one fused operator, one task per read block; ``polygons``
+    is :func:`stages.pip.pip_join_fn`'s, ``paths`` :func:`page_cells`'.
     """
     from ..functions.agg import partial_aggregate
 
     joined = page_cells(sf_dir, grid_res, paths=paths).map_batches(
-        pip_join_fn(polys_ref, keep_cols=["cell"]),
+        pip_join_fn(polygons, keep_cols=["cell"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=None,
@@ -179,7 +177,7 @@ def flagship(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Dataset:
     from ..functions.agg import combine_tree
 
     ppath, _ = synth.ensure_polygons()
-    partials = flagship_partials(sf_dir, ray.put(pq.read_table(ppath)), grid_res)
+    partials = flagship_partials(sf_dir, ppath, grid_res)
     return combine_tree(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
 
 
@@ -205,7 +203,7 @@ def cell_band_math(
     from ..functions.agg import combine_partials
 
     ppath, _ = synth.ensure_polygons()
-    partials = flagship_partials(sf_dir, ray.put(pq.read_table(ppath)), grid_res)
+    partials = flagship_partials(sf_dir, ppath, grid_res)
 
     def pivot(b: pa.Table) -> pa.Table:
         import numpy as np

@@ -31,7 +31,7 @@ import ray.data
 
 from ..functions.agg import (
     gathered_blocks, global_int_sums, hash_grouped_aggregate, hash_partitioned_groups,
-    rename_aggregates,
+    in_memory, rename_aggregates,
 )
 from ..functions.join import sorted_lookup
 from ..sources.documents import read_table
@@ -50,7 +50,7 @@ def _cents(x: np.ndarray) -> np.ndarray:
 def _revenue_row(sums: dict) -> ray.data.Dataset:
     """The one-row ``(revenue_cents, n_lines)`` int64 result of q6,
     q17 and q19."""
-    return ray.data.from_arrow(pa.table({
+    return in_memory(pa.table({
         c: pa.array([sums[c]], pa.int64()) for c in ("revenue_cents", "n_lines")
     }))
 

@@ -20,18 +20,17 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data
 
 from .. import synth
-from ..functions.agg import combine_partials
+from ..functions.agg import combine_partials, in_memory
 from ..runtime import run_resumable, shard_partitions
 from .pages import FLAGSHIP_AGGS, FLAGSHIP_KEYS, flagship_partials
 
 
-def _build_shard_partials(sf_dir: str, polys_ref):
+def _build_shard_partials(sf_dir: str, polygons: str):
     def build(name: str, inputs: list[str]) -> ray.data.Dataset:
-        return flagship_partials(sf_dir, polys_ref, paths=inputs)
+        return flagship_partials(sf_dir, polygons, paths=inputs)
 
     return build
 
@@ -41,9 +40,8 @@ def resumable_flagship(sf_dir: str, out_dir: str) -> dict:
     run_resumable result dict (ran/skipped/manifest)."""
     pages_dir = synth.ensure_pages(sf_dir)
     ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
     partitions = shard_partitions(pages_dir)
-    return run_resumable(partitions, _build_shard_partials(sf_dir, polys_ref), out_dir)
+    return run_resumable(partitions, _build_shard_partials(sf_dir, ppath), out_dir)
 
 
 def finalize_flagship(out_dir: str) -> ray.data.Dataset:
@@ -54,5 +52,4 @@ def finalize_flagship(out_dir: str) -> ray.data.Dataset:
     files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
     partials = pa.concat_tables(pq.read_table(f) for f in files)
     counts = combine_partials(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
-    return ray.data.from_arrow(
-        counts.sort_by([(k, "ascending") for k in FLAGSHIP_KEYS]))
+    return in_memory(counts.sort_by([(k, "ascending") for k in FLAGSHIP_KEYS]))

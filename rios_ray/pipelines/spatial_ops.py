@@ -220,7 +220,6 @@ def zonal_stats(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Datas
     import pyarrow.compute as pc
 
     ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
 
     def with_n_chars(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -232,7 +231,7 @@ def zonal_stats(sf_dir: str, grid_res: int = DEFAULT_GRID_RES) -> ray.data.Datas
         .map_batches(with_n_chars, batch_format="pyarrow", zero_copy_batch=True,
                      batch_size=BATCH_SIZE)
         .map_batches(
-            pip_join_fn(polys_ref, keep_cols=["n_chars"]),
+            pip_join_fn(ppath, keep_cols=["n_chars"]),
             batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE,
         )
     )
@@ -273,12 +272,7 @@ def polygon_raster_cells(
     count, not any input or exchange.  ``sf_dir`` is unused (polygon
     layer is the fixture's); kept for the uniform query signature.
     """
-    import pyarrow.parquet as pq
-
-    from ..stages.pip import pip_join_fn
-
     ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
     ny, nx = 1 << res, 2 << res
     step = C.grid_cell_step(res)
 
@@ -296,7 +290,7 @@ def polygon_raster_cells(
         batch_size=BATCH_SIZE,
     )
     joined = pts.map_batches(
-        pip_join_fn(polys_ref, keep_cols=["cell"]),
+        pip_join_fn(ppath, keep_cols=["cell"]),
         batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE,
     )
     return joined.select_columns(["cell", "poly_id", "category"])
@@ -453,10 +447,9 @@ def pip_join_left(sf_dir: str) -> ray.data.Dataset:
     from .pages import geocoded_pages
 
     ppath, _ = synth.ensure_polygons()
-    polys_ref = ray.put(pq.read_table(ppath))
     ds = geocoded_pages(sf_dir, keep_text=False, families=("grid",))
     return ds.map_batches(
-        pip_join_fn(polys_ref, keep_cols=["url"], outer=True),
+        pip_join_fn(ppath, keep_cols=["url"], outer=True),
         batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_SIZE,
     ).select_columns(["url", "category"])
 

@@ -884,7 +884,7 @@ def doc_length_token_corr(sf_dir: str) -> ray.data.Dataset:
     import numpy as np
     import pyarrow as pa
 
-    from ..functions.agg import global_int_sums
+    from ..functions.agg import global_int_sums, in_memory
     from ..text.analysis import token_stats
 
     def terms(b: pa.Table) -> dict:
@@ -898,7 +898,7 @@ def doc_length_token_corr(sf_dir: str) -> ray.data.Dataset:
     cov = g["sxy"] / n - (g["sx"] / n) * (g["sy"] / n)
     vx = g["sxx"] / n - (g["sx"] / n) * (g["sx"] / n)
     vy = g["syy"] / n - (g["sy"] / n) * (g["sy"] / n)
-    return ray.data.from_arrow(pa.table({
+    return in_memory(pa.table({
         "n": pa.array([n], type=pa.int64()),
         "corr": pa.array([cov / np.sqrt(vx * vy)], type=pa.float64()),
     }))

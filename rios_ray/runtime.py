@@ -42,6 +42,8 @@ import pyarrow.parquet as pq
 import ray
 from ray.data.block import BlockAccessor
 
+from .util import cluster_cpus
+
 LINEAGE_DIRNAME = "_lineage"
 
 
@@ -195,7 +197,7 @@ def run_resumable(partitions: dict[str, list[str]], build, out_dir: str) -> dict
         job_id = ray.get_runtime_context().get_job_id()
     except Exception:
         job_id = "driver"
-    window = max(1, min(int(ray.cluster_resources().get("CPU", 1)), len(pending)))
+    window = max(1, min(cluster_cpus(), len(pending)))
     slots = threading.Semaphore(window)
 
     def run_one(name: str, ds, attempt: int, t0: float) -> None:

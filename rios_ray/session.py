@@ -17,8 +17,9 @@ def init(num_cpus: int | None = None) -> None:
 
 def tune() -> None:
     """Set the Ray Data executor for this engine's shallow map chains."""
-    import ray
     from ray.data import DataContext
+
+    from .util import cluster_cpus
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
@@ -29,6 +30,6 @@ def tune() -> None:
     ctx.op_resource_reservation_enabled = False
     # Ray's floor of 200 read blocks over-splits small file sets (30 x
     # 3 MB files -> 210 x 450 KB blocks) at ~15 ms dispatch per task;
-    # 2 blocks per CPU keeps every core busy.  At real scale file count
-    # and target block size drive parallelism instead.
-    ctx.read_op_min_num_blocks = 2 * int(ray.cluster_resources()["CPU"])
+    # one block per CPU is one wave that keeps every core busy.  At real
+    # scale file count and target block size drive parallelism instead.
+    ctx.read_op_min_num_blocks = cluster_cpus()

@@ -22,8 +22,8 @@ def read_pages(
     ``paths`` restricts the read to specific shard files.
 
     ``bundle_files`` is a full scan: the row groups of all shards are
-    cut into contiguous runs balanced by row count, about two read
-    tasks per CPU.  Without it each file is one read task — the
+    cut into contiguous runs balanced by row count, one read task per
+    CPU unless the bytes ask for more.  Without it each file is one read task — the
     checkpoint-resume unit (see rios_ray.runtime), whose lineage names
     its shard.  Either way the task count comes from the footers.  The
     read fuses with a map after it only if that map takes the read block

@@ -21,10 +21,11 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
+
+from ..util import cluster_cpus
 
 TARGET_TASK_BYTES = 128 << 20
 
@@ -50,8 +51,8 @@ class ParquetRowGroups(Datasource):
     ``per_file`` gives one task per file (the checkpoint-resume unit and
     its lineage).  Otherwise the row groups of all files, in file order,
     are cut into contiguous runs balanced by row count:
-    ``max(2 x cluster CPUs, bytes / 128 MiB)`` runs, at most one per row
-    group (the applier's ~2 tasks per CPU)."""
+    ``max(cluster CPUs, bytes / 128 MiB)`` runs, at most one per row
+    group (one wave, :func:`util.cluster_cpus`)."""
 
     def __init__(self, path: str | list[str], columns: list[str] | None = None,
                  per_file: bool = False):
@@ -84,10 +85,8 @@ class ParquetRowGroups(Datasource):
         if self.per_file:
             task = fi
         else:
-            cpus = (int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized()
-                    else os.cpu_count())
-            n = min(len(rows), max(2 * cpus, math.ceil(self.estimate_inmemory_data_size()
-                                                       / TARGET_TASK_BYTES)))
+            n = min(len(rows), max(cluster_cpus(), math.ceil(self.estimate_inmemory_data_size()
+                                                             / TARGET_TASK_BYTES)))
             # a row group goes to the run its middle row falls in
             task = (np.cumsum(rows) - rows / 2) * n // max(int(rows.sum()), 1)
         return [r for r in np.split(np.arange(len(task)), np.flatnonzero(np.diff(task)) + 1)

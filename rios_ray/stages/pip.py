@@ -3,18 +3,20 @@
 The reference rasterizes each vector layer exactly once per process via
 ``RasterizationMgr`` double-checked locking
 (reference ``rios/structures.py:1062-1096``); here the polygon
-index is built ONCE per worker process in ``__init__`` (from a
-``ray.put`` broadcast ref or a parquet path) and every ``__call__``
-refines a zero-copy Arrow batch.  No shuffle: the small side travels
-once per worker, not once per batch.
+index is built ONCE per worker process per polygon layer in
+``__init__`` (from the layer's Parquet path, or a ``ray.put`` broadcast
+ref) and every ``__call__`` refines a zero-copy Arrow batch.  No
+shuffle: the small side travels once per worker, not once per batch.
 
 Use with::
 
-    ds.map_batches(pip_join_fn(pyarrow.parquet.read_table(path)),
-                   batch_format="pyarrow")
+    ds.map_batches(pip_join_fn(path), batch_format="pyarrow")
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
 
 import numpy as np
 import pyarrow as pa
@@ -45,7 +47,7 @@ class PIPJoinStage:
 
         if isinstance(polygons, ray.ObjectRef):
             polys = ray.get(polygons)
-        elif isinstance(polygons, str):
+        elif isinstance(polygons, (str, os.PathLike)):
             polys = pq.read_table(polygons)
         else:
             polys = polygons
@@ -92,10 +94,12 @@ class PIPJoinStage:
 def pip_join_fn(polygons, index_res: int = DEFAULT_INDEX_RES,
                 keep_cols: list[str] | None = None, outer: bool = False):
     """:class:`PIPJoinStage` as a task-pool function, its index built
-    once per worker process (``util.stage_fn``).  Tasks ship only the
-    ObjectRef; a polygon table passed by value is broadcast here first."""
+    once per worker process per layer file or ref (``util.stage_fn``); a
+    polygon table passed by value is broadcast here first."""
     import ray
 
-    if not isinstance(polygons, (str, ray.ObjectRef)):
+    if isinstance(polygons, str):
+        polygons = pathlib.Path(polygons)
+    elif not isinstance(polygons, (os.PathLike, ray.ObjectRef)):
         polygons = ray.put(polygons)
     return stage_fn(PIPJoinStage, polygons, index_res, keep_cols, outer)

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from functools import partial
 
 _STAGES: dict = {}  # stage kind -> (key, stage): the latest build per kind
+
+
+def cluster_cpus() -> int:
+    """The task count of one wave, the one reader of the cluster's CPUs
+    (this machine's without a Ray session): every map job plans one task
+    per CPU unless its data asks for more, since a second wave pays the
+    per-task fixed cost (~5-10 ms) again for no more parallelism."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    return cpus or os.cpu_count() or 1
 
 
 def cached_stage(kind, key, build, batch):
@@ -28,7 +40,12 @@ def cached_stage(kind, key, build, batch):
 def _key(arg):
     import ray
 
-    return arg.hex() if isinstance(arg, ray.ObjectRef) else arg
+    if isinstance(arg, ray.ObjectRef):
+        return arg.hex()
+    if isinstance(arg, os.PathLike):  # a rewritten file is a new key
+        st = os.stat(arg)
+        return os.fspath(arg), st.st_size, st.st_mtime_ns
+    return arg
 
 
 def stage_fn(cls, *args, **kwargs):
@@ -43,7 +60,8 @@ def stage_fn(cls, *args, **kwargs):
     sf0.1/32cpus).  Each class is its own cache kind, so a fused chain
     of stages keeps one instance of each.  A broadcast side travels as
     an ObjectRef argument (keyed by its id) and is fetched in
-    ``__init__``."""
+    ``__init__``; a file side as its ``os.PathLike`` path, keyed by path,
+    size and mtime, so warm workers keep their build across calls."""
     key = (tuple(_key(a) for a in args),
            tuple(sorted((k, _key(v)) for k, v in kwargs.items())))
     return partial(cached_stage, (cls.__module__, cls.__qualname__), key,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rios_ray import synth
-from rios_ray.applier import ApplierControls, apply
+from rios_ray.applier import OVERVIEW_KEYS, TILE_KEYS, ApplierControls, apply
 from rios_ray.gridmodel import UNION, PixelGrid
 from rios_ray.sources.tileraster import TileRasterInfo, read_stats_sidecar, write_tile_raster
 
@@ -806,3 +806,59 @@ def test_close_streams_wide_range_histograms(fixtures, tmp_path, monkeypatch):
     got = read_stats_sidecar(out)["0"]
     assert (got["min"], got["max"], got["count"]) == (want.min(), want.max(), want.size)
     assert got["mean"] == pytest.approx(want.mean(), rel=1e-12)
+
+
+def test_one_task_per_cpu_each_a_row_of_blocks(fixtures, tmp_path, monkeypatch):
+    """A 4x4-block raster at 4 CPUs runs as one wave: 4 block tasks, each
+    writing one row of blocks to its own part file.  At 1 CPU one task
+    writes every block, and the tiles, stats sidecar, overviews and
+    manifest are identical."""
+    import glob
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from rios_ray import util
+
+    def max_fn(info, inputs, outputs):
+        a = inputs.a
+        ny, nx = a.shape[1] - 4, a.shape[2] - 4
+        out = np.zeros_like(a)
+        out[:, 2:-2, 2:-2] = np.maximum.reduce(
+            [a[:, dy:dy + ny, dx:dx + nx] for dy in range(5) for dx in range(5)])
+        outputs.filtered = out
+
+    def run(tag):
+        controls = ApplierControls()
+        controls.setWindowSize(128, 128)
+        controls.setOverlap(2)
+        controls.setCalcStats(True)
+        controls.setOmitPyramids(False)
+        out = str(tmp_path / tag / "filtered.parquet")
+        rtn = apply(max_fn, {"a": fixtures["ramp"]}, {"filtered": out}, controls=controls,
+                    out_dir=str(tmp_path / tag))
+        assert rtn.n_blocks == 16
+        with open(os.path.join(out, "_grid.json")) as f:
+            manifest = json.load(f)
+        manifest["overviews"]["path"] = os.path.basename(manifest["overviews"]["path"])
+        return (sorted(glob.glob(os.path.join(out, "part-*.parquet"))),
+                pq.read_table(out).sort_by([(k, "ascending") for k in TILE_KEYS]),
+                pq.read_table(out + ".ovr").sort_by([(k, "ascending") for k in OVERVIEW_KEYS]),
+                manifest)
+
+    assert util.cluster_cpus() == 4
+    parts, tiles, overviews, manifest = run("four")
+    assert len(parts) == 4
+    for i, part in enumerate(parts):
+        t = pq.read_table(part, columns=["tile_y", "tile_x"])
+        assert set(t["tile_y"].to_pylist()) == {i}
+        assert set(t["tile_x"].to_pylist()) == {0, 1, 2, 3}
+    assert manifest["stats"] and manifest["overviews"]["levels"]
+
+    monkeypatch.setattr(util, "cluster_cpus", lambda: 1)
+    parts_1, tiles_1, overviews_1, manifest_1 = run("one")
+    assert len(parts_1) == 1
+    assert tiles_1.equals(tiles)
+    assert overviews_1.equals(overviews)
+    assert manifest_1 == manifest

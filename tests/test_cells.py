@@ -152,3 +152,15 @@ def test_hex_aperture7_area_scaling():
     n1 = len(np.unique(cells.hex_cell_id(lon, lat, 1)))
     n2 = len(np.unique(cells.hex_cell_id(lon, lat, 2)))
     assert 4.0 < n2 / n1 < 10.0
+
+
+def test_nan_coordinates_cast_without_warning():
+    """A tokenless page has NaN lon/lat; its id is masked to NULL later,
+    so the cell kernels must not warn on the cast."""
+    import warnings
+
+    lon, lat = np.array([np.nan, 10.0]), np.array([np.nan, 20.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (cells.grid_cell_id, cells.s2_cell_id, cells.hex_cell_id):
+            assert len(f(lon, lat, 7)) == 2

@@ -12,7 +12,7 @@ import rios_ray
 
 ROOT = pathlib.Path(rios_ray.__file__).parent
 EXCHANGE = ROOT / "functions" / "agg.py"
-PART = re.compile(r"""["']_part["']|cluster_partitions\(""")
+PART = re.compile(r"""["']_part["']|\.repartition\(""")
 
 
 def test_only_agg_builds_or_groups_on_part():

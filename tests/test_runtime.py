@@ -89,6 +89,16 @@ def test_resume_skips_committed_and_redoes_missing(ray_session, out_dir):
     assert resumed.equals(_flagship_sorted())
 
 
+def test_finalize_is_an_executed_dataset(ray_session, out_dir, ray_jobs):
+    """The finalize folds on the driver and returns its table as an
+    executed Dataset: consuming it starts no Ray Data job."""
+    resumable_flagship(SF, out_dir)
+    ray_jobs.clear()
+    final = finalize_flagship(out_dir)
+    assert _table(final).num_rows == final.count() > 0
+    assert ray_jobs == []
+
+
 def test_shard_build_is_exchange_free(ray_session):
     """One shard's build is a single fused map chain: its logical plan
     holds no all-to-all operator (Repartition, Sort, Aggregate)."""

@@ -1,6 +1,9 @@
-"""The shared engine session and the registry-driven bench table."""
+"""The shared engine session, the one owner of the cluster CPU count,
+and the registry-driven bench table."""
 
 import os
+import pathlib
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,10 +42,28 @@ def test_tune_derives_executor_settings_from_cluster(ray_session):
         assert int(ray.cluster_resources()["CPU"]) == cpus
         assert ctx.enable_progress_bars is False
         assert ctx.op_resource_reservation_enabled is False
-        assert ctx.read_op_min_num_blocks == 2 * cpus
+        assert ctx.read_op_min_num_blocks == cpus
     finally:
         for f, v in saved.items():
             setattr(ctx, f, v)
+
+
+def test_cluster_cpus_is_the_only_reader_of_cluster_resources():
+    """Every task and partition count reads the CPU count through
+    ``util.cluster_cpus``: no other module asks Ray for it."""
+    import rios_ray
+    from rios_ray import util
+
+    root = pathlib.Path(rios_ray.__file__).parent
+    owner = pathlib.Path(util.__file__)
+    offenders = [
+        f"{path.relative_to(root)}:{i}: {line.strip()}"
+        for path in sorted(root.rglob("*.py")) if path != owner
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"(cluster|available)_resources\(", line)
+    ]
+    assert offenders == []
+    assert "ray.cluster_resources()" in owner.read_text()
 
 
 def test_bench_table_resolves_to_registry():

@@ -59,14 +59,15 @@ def test_paths_mode_one_task_per_file():
 
 
 def test_full_scan_runs_are_balanced(ray_session, tmp_path):
-    """3 files x 7 row groups at 4 CPUs: 8 contiguous runs whose row
-    counts differ by at most one row group, covering every row once."""
+    """3 files x 7 row groups at 4 CPUs: 4 contiguous runs (one wave)
+    whose row counts differ by at most one row group, covering every
+    row once."""
     for i in range(3):
         _write(tmp_path / f"part-{i}.parquet", 7, offset=700 * i)
     src = ParquetRowGroups(str(tmp_path), ["x"])
     tasks = src.get_read_tasks(-1)
     rows = [t.metadata.num_rows for t in tasks]
-    assert len(tasks) == 2 * int(ray.cluster_resources()["CPU"])
+    assert len(tasks) == int(ray.cluster_resources()["CPU"])
     assert sum(rows) == 2100 and max(rows) - min(rows) <= 100
     runs = [src.groups[r][:, :2].tolist() for r in src.runs()]
     assert sum(runs, []) == src.groups[:, :2].tolist()
@@ -179,3 +180,44 @@ def test_cache_keeps_latest_build_per_kind():
     assert calls == ["a", "b", "a"]
     assert util._STAGES["test-kind"][0] == "a"
     del util._STAGES["test-kind"]
+
+
+def test_file_argument_keyed_by_its_version(tmp_path):
+    """A stage side given as a path is keyed by path, size and mtime: the
+    same file is one key across calls, a rewritten one a new key."""
+    from rios_ray.stages.pip import PIPJoinStage
+    from rios_ray.util import stage_fn
+
+    path = tmp_path / "layer.parquet"
+    path.write_bytes(b"v1")
+
+    def key():  # building the function builds no stage
+        return stage_fn(PIPJoinStage, path).args[1]
+
+    first = key()
+    assert key() == first
+    os.utime(path, ns=(0, 1))
+    assert key() != first
+
+
+def test_flagship_builds_pip_index_once_per_worker(ray_session, tmp_path, monkeypatch):
+    """The flagship passes its polygon layer by path, so two calls at 4
+    CPUs build the PIP index at most once per worker: at most 4 builds,
+    not one per worker per call.  Every build leaves a file in
+    ``tmp_path`` (the counting subclass travels by value)."""
+    import uuid
+
+    from rios_ray.pipelines.pages import flagship
+    from rios_ray.stages import pip
+
+    class CountedPIPJoinStage(pip.PIPJoinStage):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            (tmp_path / uuid.uuid4().hex).touch()
+
+    monkeypatch.setattr(pip, "PIPJoinStage", CountedPIPJoinStage)
+    first, second = (_table(flagship(SF)).sort_by([("cell", "ascending"),
+                                                   ("category", "ascending")])
+                     for _ in range(2))
+    assert second.equals(first)
+    assert 1 <= len(list(tmp_path.iterdir())) <= int(ray.cluster_resources()["CPU"])
