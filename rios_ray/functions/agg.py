@@ -113,9 +113,8 @@ def gathered_blocks(ds) -> list[pa.Table]:
 
 def gather_final(ds, fn):
     """Run a bounded single-block final on the driver: ``fn`` over the
-    concatenation of ``ds``'s non-empty blocks, returned
-    :func:`in_memory`.  Only for
-    finals whose input is bounded (grid cells, k x blocks x queries),
+    concatenation of ``ds``'s non-empty blocks, returned :func:`in_memory`.
+    Only for finals whose input is bounded (grid cells, k x blocks x queries),
     like the driver fold of the reference's single-pass statistics
     (``rios/calcstats.py:656-692``).  A lazy ``repartition(1)`` final
     would instead run its whole upstream again under ``limit(1)``
