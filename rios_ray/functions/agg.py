@@ -18,10 +18,9 @@ Two design decisions, both measured (sf0.1, 32 cpus, 245k partial rows,
 :func:`hash_partitioned_groups` is the only keyed exchange in the
 engine: every key-co-locating stage (aggregates, sessions, joins,
 dedup buckets, skew caps) goes through it.  It owns the key hash
-(:func:`_part_of`) and the partition count (one per cluster CPU,
-:func:`util.cluster_cpus`),
-so one key lands in one partition by one policy everywhere, and no
-caller picks a partition count.
+(:func:`_part_of`) and the partition count (one per CPU,
+:func:`util.cluster_cpus`), so one key lands in one partition by one
+policy everywhere, and no caller picks a partition count.
 """
 
 from __future__ import annotations

@@ -75,9 +75,6 @@ class MetricsCollector:
     def summary(self) -> dict:
         return {f"{s}/{p}": dict(v) for (s, p), v in sorted(self._m.items())}
 
-    def partition_totals(self, stage: str) -> dict[str, dict]:
-        return {p: dict(v) for (s, p), v in self._m.items() if s == stage}
-
 
 # --------------------------------------------------------------------------
 # lineage manifest

@@ -15,7 +15,6 @@ Use with::
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import numpy as np
@@ -45,12 +44,8 @@ class PIPJoinStage:
     ):
         import ray
 
-        if isinstance(polygons, ray.ObjectRef):
-            polys = ray.get(polygons)
-        elif isinstance(polygons, (str, os.PathLike)):
-            polys = pq.read_table(polygons)
-        else:
-            polys = polygons
+        polys = (ray.get(polygons) if isinstance(polygons, ray.ObjectRef)
+                 else pq.read_table(polygons))
         self.index = PolygonIndex.from_arrow(polys, index_res)
         ids = polys["poly_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids)
@@ -98,8 +93,8 @@ def pip_join_fn(polygons, index_res: int = DEFAULT_INDEX_RES,
     polygon table passed by value is broadcast here first."""
     import ray
 
-    if isinstance(polygons, str):
+    if isinstance(polygons, (str, pathlib.Path)):
         polygons = pathlib.Path(polygons)
-    elif not isinstance(polygons, (os.PathLike, ray.ObjectRef)):
+    elif not isinstance(polygons, ray.ObjectRef):
         polygons = ray.put(polygons)
     return stage_fn(PIPJoinStage, polygons, index_res, keep_cols, outer)

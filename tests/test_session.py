@@ -1,9 +1,6 @@
-"""The shared engine session, the one owner of the cluster CPU count,
-and the registry-driven bench table."""
+"""The shared engine session and the registry-driven bench table."""
 
 import os
-import pathlib
-import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,24 +43,6 @@ def test_tune_derives_executor_settings_from_cluster(ray_session):
     finally:
         for f, v in saved.items():
             setattr(ctx, f, v)
-
-
-def test_cluster_cpus_is_the_only_reader_of_cluster_resources():
-    """Every task and partition count reads the CPU count through
-    ``util.cluster_cpus``: no other module asks Ray for it."""
-    import rios_ray
-    from rios_ray import util
-
-    root = pathlib.Path(rios_ray.__file__).parent
-    owner = pathlib.Path(util.__file__)
-    offenders = [
-        f"{path.relative_to(root)}:{i}: {line.strip()}"
-        for path in sorted(root.rglob("*.py")) if path != owner
-        for i, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"(cluster|available)_resources\(", line)
-    ]
-    assert offenders == []
-    assert "ray.cluster_resources()" in owner.read_text()
 
 
 def test_bench_table_resolves_to_registry():
