@@ -28,20 +28,14 @@ from ..runtime import run_resumable, shard_partitions
 from .pages import FLAGSHIP_AGGS, FLAGSHIP_KEYS, flagship_partials
 
 
-def _build_shard_partials(sf_dir: str, polygons: str):
-    def build(name: str, inputs: list[str]) -> ray.data.Dataset:
-        return flagship_partials(sf_dir, polygons, paths=inputs)
-
-    return build
-
-
 def resumable_flagship(sf_dir: str, out_dir: str) -> dict:
     """Run (or resume) the flagship at shard granularity.  Returns the
     run_resumable result dict (ran/skipped/manifest)."""
     pages_dir = synth.ensure_pages(sf_dir)
     ppath, _ = synth.ensure_polygons()
     partitions = shard_partitions(pages_dir)
-    return run_resumable(partitions, _build_shard_partials(sf_dir, ppath), out_dir)
+    return run_resumable(
+        partitions, lambda _, inputs: flagship_partials(sf_dir, ppath, paths=inputs), out_dir)
 
 
 def finalize_flagship(out_dir: str) -> ray.data.Dataset:

@@ -23,12 +23,12 @@ def read_pages(
 
     ``bundle_files`` is a full scan: the row groups of all shards are
     cut into contiguous runs balanced by row count, one read task per
-    CPU unless the bytes ask for more.  Without it each file is one read task — the
-    checkpoint-resume unit (see rios_ray.runtime), whose lineage names
-    its shard.  Either way the task count comes from the footers.  The
-    read fuses with a map after it only if that map takes the read block
-    as its batch (``batch_size=None``): Ray fuses no read into a map that
-    asks for a row count.
+    CPU unless the bytes ask for more.  Without it each file is one read
+    task — the checkpoint-resume unit (see rios_ray.runtime), whose
+    lineage names its shard.  Either way the task count comes from the
+    footers.  The read fuses with a map after it only if that map takes
+    the read block as its batch (``batch_size=None``): Ray fuses no read
+    into a map that asks for a row count.
     """
     path = synth.ensure_pages(sf_dir)
     return read_row_groups(paths if paths is not None else path, columns,

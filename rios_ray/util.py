@@ -43,7 +43,8 @@ def _key(arg):
     if isinstance(arg, ray.ObjectRef):
         return arg.hex()
     if isinstance(arg, os.PathLike):  # a rewritten file is a new key
-        return os.fspath(arg), os.stat(arg).st_size, os.stat(arg).st_mtime_ns
+        st = os.stat(arg)
+        return os.fspath(arg), st.st_size, st.st_mtime_ns
     return arg
 
 

@@ -60,13 +60,13 @@ def test_resumable_build_is_lazy(ray_session, ray_jobs):
     import pyarrow.parquet as pq
 
     from rios_ray import synth
-    from rios_ray.pipelines.resumable import _build_shard_partials
+    from rios_ray.pipelines.pages import flagship_partials
     from rios_ray.runtime import shard_partitions
 
     parts = shard_partitions(synth.ensure_pages(SF))
     name = sorted(parts)[0]
     ppath, _ = synth.ensure_polygons()
-    _build_shard_partials(SF, ray.put(pq.read_table(ppath)))(name, parts[name])
+    flagship_partials(SF, ray.put(pq.read_table(ppath)), paths=parts[name])
     assert ray_jobs == []
 
 

@@ -105,11 +105,11 @@ def test_shard_build_is_exchange_free(ray_session):
     from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
 
     from rios_ray import synth
-    from rios_ray.pipelines.resumable import _build_shard_partials
+    from rios_ray.pipelines.pages import flagship_partials
 
-    shard = sorted(runtime.shard_partitions(synth.ensure_pages(SF)).items())[0]
+    _, inputs = sorted(runtime.shard_partitions(synth.ensure_pages(SF)).items())[0]
     polys_ref = ray.put(pq.read_table(synth.ensure_polygons()[0]))
-    ds = _build_shard_partials(SF, polys_ref)(*shard)
+    ds = flagship_partials(SF, polys_ref, paths=inputs)
     ops = _plan_ops(ds)
     assert not [op.name for op in ops if isinstance(op, AbstractAllToAll)]
     assert sorted(ds.columns()) == ["category", "cell", "n_pages"]
