@@ -1,9 +1,13 @@
-"""Driver contract for the graft builder (Ray Data target).
+"""The engine's query registry and its DuckDB oracles.
 
-The driver's verify calls ``entry()`` as a smoke check (Ray is already
-initialised, local mode), runs each ``queries()[name](sf_dir)`` at
-sf=0.01 and compares it against the matching ``oracle_sql()[name]`` via
-DuckDB (row-count + schema + order-insensitive value-hash).
+``entry()`` runs the flagship as a smoke check (Ray is already
+initialised, local mode).  ``queries()`` maps 118 names, in a fixed
+order, to callables taking ``sf_dir``: most are the pipeline function
+itself, a ``functools.partial`` binds the one argument whose gated value
+is not the pipeline's default, and the ``_q_*`` defs project or compose
+a pipeline.  Each ``queries()[name](sf_dir)`` at sf=0.01 is compared
+against ``oracle_sql()[name]`` via DuckDB (row-count + schema +
+order-insensitive value-hash).
 
 Pages-table queries run over the deterministic synthetic pages parquet
 (``BASELINE.json: input_hint`` schema) materialized idempotently under
@@ -218,6 +222,9 @@ def entry() -> Any:
     return flagship("/root/testdata/sf0.001")
 
 
+# Queries that project or compose a pipeline, or take more than one
+# statement; every other query is the pipeline function itself.
+
 def _q_extracted_text(sf_dir: str):
     from rios_ray.pipelines.pages import geocoded_pages
 
@@ -229,6 +236,20 @@ def _q_geocode_cells(sf_dir: str):
 
     return geocoded_pages(sf_dir, keep_text=False,
                           families=("grid",)).select_columns(["url", "lat", "lon", "cell"])
+
+
+def _q_s2_cells(sf_dir: str):
+    from rios_ray.pipelines.pages import geocoded_pages
+
+    return geocoded_pages(sf_dir, keep_text=False,
+                          families=("s2",)).select_columns(["url", "s2_cell"])
+
+
+def _q_hex_cells(sf_dir: str):
+    from rios_ray.pipelines.pages import geocoded_pages
+
+    return geocoded_pages(sf_dir, keep_text=False,
+                          families=("hex",)).select_columns(["url", "hex_cell"])
 
 
 def _q_cell_counts(sf_dir: str):
@@ -259,268 +280,15 @@ def _q_pip_join_counts(sf_dir: str):
     return grouped_count(spatial_join(sf_dir), ["poly_id", "category"], alias="n_pages")
 
 
-def _q_flagship(sf_dir: str):
-    from rios_ray.pipelines.pages import flagship
-
-    return flagship(sf_dir)
-
-
-def _q_knn(sf_dir: str):
-    from rios_ray.pipelines.pages import knn_pages
-
-    return knn_pages(sf_dir, k=10).select_columns(["qid", "url", "d2", "rank"])
-
-
-def _q_knn_cellring(sf_dir: str):
-    from rios_ray.pipelines.pages import knn_pages_cellring
-
-    return knn_pages_cellring(sf_dir, k=10).select_columns(["qid", "url", "d2", "rank"])
-
-
-def _q_s2_cells(sf_dir: str):
+def _q_cell_pages_capped(sf_dir: str):
+    """Per-cell fan-out cap on the deliberately skewed geocoded pages
+    (salted three-stage cap, stages/skew.py)."""
     from rios_ray.pipelines.pages import geocoded_pages
-
-    return geocoded_pages(sf_dir, keep_text=False,
-                          families=("s2",)).select_columns(["url", "s2_cell"])
-
-
-def _q_hex_cells(sf_dir: str):
-    from rios_ray.pipelines.pages import geocoded_pages
-
-    return geocoded_pages(sf_dir, keep_text=False,
-                          families=("hex",)).select_columns(["url", "hex_cell"])
-
-
-def _q_radius_join(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import radius_join
-
-    return radius_join(sf_dir, radius=8.0)
-
-
-def _q_cell_rollup(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import cell_rollup
-
-    return cell_rollup(sf_dir)
-
-
-def _q_zonal_stats(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import zonal_stats
-
-    return zonal_stats(sf_dir)
-
-
-def _q_s2_rollup(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import s2_rollup
-
-    return s2_rollup(sf_dir, level=12, levels=2)
-
-
-def _q_polygon_raster_cells(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import polygon_raster_cells
-
-    return polygon_raster_cells(sf_dir)
-
-
-def _q_cell_focal_stats(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import cell_focal_stats
-
-    return cell_focal_stats(sf_dir)
-
-
-def _q_top_pages_per_host(sf_dir: str):
-    from rios_ray.pipelines.pages import top_pages_per_host
-
-    return top_pages_per_host(sf_dir, n=3)
-
-
-def _q_url_canonical(sf_dir: str):
-    from rios_ray.pipelines.pages import url_canonical
-
-    return url_canonical(sf_dir)
-
-
-def _q_text_token_stats(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.token_stats(sf_dir)
-
-
-def _q_text_quality(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.quality(sf_dir)
-
-
-def _q_text_repetition(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.repetition(sf_dir)
-
-
-def _q_corpus_clean(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.corpus_clean(sf_dir)
-
-
-def _q_text_lang_id(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.lang_id(sf_dir)
-
-
-def _q_text_md5(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.fingerprints(sf_dir).select_columns(["doc_id", "text_md5"])
-
-
-def _q_text_winnow(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.fingerprints(sf_dir).select_columns(["doc_id", "fp_size"])
-
-
-def _q_text_topk(sf_dir: str):
-    from rios_ray.pipelines.text import top_token_pages
-
-    return top_token_pages(sf_dir, k=100)
-
-
-def _q_host_counts(sf_dir: str):
-    from rios_ray.pipelines.pages import host_counts
-
-    return host_counts(sf_dir)
-
-
-def _q_token_quantiles(sf_dir: str):
-    from rios_ray.pipelines.text import token_quantiles
-
-    return token_quantiles(sf_dir)
-
-
-def _q_vocab_topk(sf_dir: str):
-    from rios_ray.pipelines.text import vocab_topk
-
-    return vocab_topk(sf_dir, k=100)
-
-
-def _q_text_pii(sf_dir: str):
-    from rios_ray.pipelines import text as T
-
-    return T.pii(sf_dir)
-
-
-def _q_token_percentile_rank(sf_dir: str):
-    from rios_ray.pipelines.text import token_percentile_rank
-
-    return token_percentile_rank(sf_dir)
-
-
-def _q_bm25_scores(sf_dir: str):
-    from rios_ray.pipelines.text import bm25_scores
-
-    return bm25_scores(sf_dir)
-
-
-def _q_quality_weighted_sample(sf_dir: str):
-    from rios_ray.pipelines.text import quality_weighted_sample
-
-    return quality_weighted_sample(sf_dir)
-
-
-def _q_stratified_sample(sf_dir: str):
-    from rios_ray.pipelines.text import stratified_sample
-
-    return stratified_sample(
-        sf_dir, rates={"src0": 1.0, "src1": 0.0}, default_rate=0.5
-    )
-
-
-def _q_decontaminate(sf_dir: str, **kw):
-    from rios_ray.pipelines.text import decontaminate
-
-    return decontaminate(sf_dir, **kw)
-
-
-def _q_dedup_exact(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    # md5 key: exactly matches DuckDB md5() (the library default is the
-    # vectorized FNV key — same groups up to 64-bit collisions)
-    return D.exact_dedup(sf_dir, key="md5")
-
-
-def _q_dedup_winnow_pairs(sf_dir: str):
-    from rios_ray.pipelines.dedup import winnow_pairs
-
-    return winnow_pairs(sf_dir, min_shared=40)
-
-
-def _q_dedup_paragraphs(sf_dir: str):
-    from rios_ray.pipelines.text import paragraph_dedup
-
-    return paragraph_dedup(sf_dir, sep=" the ")
-
-
-def _q_heavy_hitters(sf_dir: str):
-    from rios_ray.pipelines.text import heavy_hitter_tokens
-
-    return heavy_hitter_tokens(sf_dir, k=30)
-
-
-def _q_doc_zscores(sf_dir: str):
-    from rios_ray.pipelines.text import doc_zscores
-
-    return doc_zscores(sf_dir)
-
-
-def _q_host_char_share(sf_dir: str):
-    from rios_ray.pipelines.pages import host_char_share
-
-    return host_char_share(sf_dir)
-
-
-def _q_dedup_jaccard(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    return D.jaccard_pairs(sf_dir, threshold=0.5, df_cap=64)
-
-
-def _q_dedup_minhash(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    return D.minhash_pairs(sf_dir, threshold=0.5)
-
-
-def _q_neardup_triangles(sf_dir: str):
-    from rios_ray.pipelines.dedup import neardup_triangles
-
-    return neardup_triangles(sf_dir, threshold=0.5)
-
-
-def _q_neardup_pagerank(sf_dir: str):
-    from rios_ray.pipelines.dedup import neardup_pagerank
-
-    return neardup_pagerank(sf_dir, threshold=0.5, iters=2)
-
-
-def _q_dedup_edit_pairs(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    return D.edit_distance_pairs(sf_dir, threshold=0.5)
-
-
-def _q_dedup_clusters(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    return D.minhash_clusters(sf_dir, threshold=0.5)
-
-
-def _q_dedup_simhash(sf_dir: str):
-    from rios_ray.pipelines import dedup as D
-
-    return D.simhash_pairs(sf_dir, max_hamming=3)
+    from rios_ray.stages.skew import capped_per_key
+
+    ds = geocoded_pages(sf_dir, keep_text=False,
+                        families=("grid",)).select_columns(["cell", "url"])
+    return capped_per_key(ds, "cell", 5, "url")
 
 
 def _q_flagship_resumable(sf_dir: str):
@@ -541,288 +309,16 @@ def _q_flagship_resumable(sf_dir: str):
         shutil.rmtree(out_dir, ignore_errors=True)
 
 
-def _q_doc_bigram_coverage(sf_dir: str):
-    from rios_ray.pipelines.text import doc_bigram_coverage
+def _q_text_md5(sf_dir: str):
+    from rios_ray.pipelines import text as T
 
-    return doc_bigram_coverage(sf_dir, min_count=5)
+    return T.fingerprints(sf_dir).select_columns(["doc_id", "text_md5"])
 
 
-def _q_pages_cube(sf_dir: str):
-    from rios_ray.pipelines.pages import pages_cube
+def _q_text_winnow(sf_dir: str):
+    from rios_ray.pipelines import text as T
 
-    return pages_cube(sf_dir)
-
-
-def _q_host_crawl_sessions(sf_dir: str):
-    from rios_ray.pipelines.pages import host_crawl_sessions
-
-    # 20-day gap: the fixture's per-host revisit spacing straddles it
-    # (60k pages -> 36.6k sessions at sf0.01), so the gap cumsum and
-    # per-host ordinals are non-trivially exercised
-    return host_crawl_sessions(sf_dir, gap_us=20 * 86_400 * 1_000_000)
-
-
-def _q_pip_join_left(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import pip_join_left
-
-    return pip_join_left(sf_dir)
-
-
-def _q_events_value_deltas(sf_dir: str):
-    from rios_ray.pipelines.events import value_deltas
-
-    return value_deltas(sf_dir)
-
-
-def _q_cell_gradient(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import cell_gradient
-
-    return cell_gradient(sf_dir)
-
-
-def _q_cell_compact(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import compact_cells
-
-    return compact_cells(sf_dir)
-
-
-def _q_cell_band_math(sf_dir: str):
-    from rios_ray.pipelines.pages import cell_band_math
-
-    return cell_band_math(sf_dir)
-
-
-def _q_grid_dbscan(sf_dir: str):
-    from rios_ray.pipelines.spatial_ops import grid_dbscan
-
-    return grid_dbscan(sf_dir, minpts=10)
-
-
-def _q_events_rolling_extrema(sf_dir: str):
-    from rios_ray.pipelines.events import rolling_extrema
-
-    return rolling_extrema(sf_dir, k=5)
-
-
-def _q_emb_kmeans_assign(sf_dir: str):
-    from rios_ray.pipelines.embeddings import kmeans_assign
-
-    return kmeans_assign(sf_dir, nlist=16)
-
-
-def _q_tfidf_top_terms(sf_dir: str):
-    from rios_ray.pipelines.text import tfidf_top_terms
-
-    return tfidf_top_terms(sf_dir, n=5)
-
-
-def _q_bigram_pmi(sf_dir: str):
-    from rios_ray.pipelines.text import bigram_pmi
-
-    return bigram_pmi(sf_dir)
-
-
-def _q_bigram_lm(sf_dir: str):
-    from rios_ray.pipelines.text import bigram_lm
-
-    return bigram_lm(sf_dir, min_count=5)
-
-
-def _q_cell_pages_capped(sf_dir: str):
-    """Per-cell fan-out cap on the deliberately skewed geocoded pages
-    (salted three-stage cap, stages/skew.py)."""
-    from rios_ray.pipelines.pages import geocoded_pages
-    from rios_ray.stages.skew import capped_per_key
-
-    ds = geocoded_pages(sf_dir, keep_text=False,
-                        families=("grid",)).select_columns(["cell", "url"])
-    return capped_per_key(ds, "cell", 5, "url")
-
-
-def _q_rel_q1(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q1_pricing_summary(sf_dir)
-
-
-def _q_rel_q3(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q3_top_orders(sf_dir, segment="BUILDING", k=10)
-
-
-def _q_rel_q5(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q5_nation_revenue(sf_dir)
-
-
-def _q_rel_q18(sf_dir: str):
-    from rios_ray.pipelines.relational import q18_big_orders
-
-    return q18_big_orders(sf_dir, min_qty=200)
-
-
-def _q_rel_q10(sf_dir: str):
-    from rios_ray.pipelines.relational import q10_returned_revenue
-
-    return q10_returned_revenue(sf_dir)
-
-
-def _q_rel_q4_bloom(sf_dir: str):
-    from rios_ray.pipelines.relational import q4_order_priority
-
-    return q4_order_priority(sf_dir, use_bloom=True)
-
-
-def _q_rel_q12(sf_dir: str):
-    from rios_ray.pipelines.relational import q12_priority_lines
-
-    return q12_priority_lines(sf_dir)
-
-
-def _q_rel_q14(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q14_type_revenue(sf_dir)
-
-
-def _q_rel_q6(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q6_forecast_revenue(sf_dir)
-
-
-def _q_rel_q7(sf_dir: str):
-    from rios_ray.pipelines.relational import q7_volume_shipping
-
-    return q7_volume_shipping(sf_dir)
-
-
-def _q_rel_q13(sf_dir: str):
-    from rios_ray.pipelines.relational import q13_customer_distribution
-
-    return q13_customer_distribution(sf_dir)
-
-
-def _q_rel_q17(sf_dir: str):
-    from rios_ray.pipelines.relational import q17_small_quantity_revenue
-
-    return q17_small_quantity_revenue(sf_dir)
-
-
-def _q_rel_q21(sf_dir: str):
-    from rios_ray.pipelines.relational import q21_returns_suppliers
-
-    return q21_returns_suppliers(sf_dir)
-
-
-def _q_rel_q2(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q2_min_cost_supplier(sf_dir)
-
-
-def _q_rel_q8(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q8_market_share(sf_dir)
-
-
-def _q_rel_q9(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q9_nation_profit(sf_dir)
-
-
-def _q_rel_q11(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q11_important_parts(sf_dir)
-
-
-def _q_rel_q15(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q15_top_supplier(sf_dir)
-
-
-def _q_rel_q16(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q16_supplier_counts(sf_dir)
-
-
-def _q_rel_q19(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q19_disjunctive_revenue(sf_dir)
-
-
-def _q_rel_q20(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q20_excess_suppliers(sf_dir)
-
-
-def _q_rel_q4(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q4_order_priority(sf_dir)
-
-
-def _q_rel_q22(sf_dir: str):
-    from rios_ray.pipelines import relational as R
-
-    return R.q22_idle_customers(sf_dir)
-
-
-def _q_events_distinct_users(sf_dir: str):
-    from rios_ray.pipelines.events import distinct_users
-
-    return distinct_users(sf_dir)
-
-
-def _q_events_value_mean(sf_dir: str):
-    from rios_ray.pipelines.events import value_mean_per_type
-
-    return value_mean_per_type(sf_dir)
-
-
-def _q_events_users_hll(sf_dir: str):
-    from rios_ray.pipelines.events import distinct_users_hll
-
-    return distinct_users_hll(sf_dir)
-
-
-def _q_events_asof(sf_dir: str):
-    from rios_ray.pipelines.events import asof_last_event
-
-    return asof_last_event(sf_dir, "click", "error")
-
-
-def _q_events_range_join(sf_dir: str):
-    from rios_ray.pipelines.events import range_join_counts
-
-    return range_join_counts(sf_dir, "click", "error")
-
-
-def _q_events_tumbling(sf_dir: str):
-    from rios_ray.pipelines import events as E
-
-    return E.tumbling_counts(sf_dir)
-
-
-def _q_events_sliding(sf_dir: str):
-    from rios_ray.pipelines import events as E
-
-    return E.sliding_counts(sf_dir)
-
-
-def _q_events_sessions(sf_dir: str):
-    from rios_ray.pipelines import events as E
-
-    return E.session_windows(sf_dir)
+    return T.fingerprints(sf_dir).select_columns(["doc_id", "fp_size"])
 
 
 def _q_rat_derive(sf_dir: str):
@@ -874,81 +370,10 @@ def _q_rat_colstats(sf_dir: str):
     return pd.DataFrame([stats])
 
 
-def _q_media_image_ahash(sf_dir: str):
-    from rios_ray.pipelines.multimodal import image_ahash
-
-    return image_ahash(sf_dir)
-
-
 def _q_media_image_features(sf_dir: str):
     from rios_ray.pipelines import multimodal as M
 
     return M.image_features(sf_dir).drop_columns(["luma_hist"])
-
-
-def _q_events_top_users(sf_dir: str):
-    from rios_ray.pipelines.events import top_users_per_window
-
-    return top_users_per_window(sf_dir, n=3)
-
-
-def _q_events_quantiles_sketch(sf_dir: str):
-    from rios_ray.pipelines.events import value_quantiles_sketch
-
-    # capacity >= every fixture group -> the bottom-k sample IS the
-    # group and the sketch is provably exact (same oracle as the
-    # full-exchange quantiles); tests gate the approximate config
-    return value_quantiles_sketch(sf_dir)
-
-
-def _q_events_value_quantiles(sf_dir: str):
-    from rios_ray.pipelines.events import value_quantiles_per_type
-
-    return value_quantiles_per_type(sf_dir)
-
-
-def _q_events_funnel(sf_dir: str):
-    from rios_ray.pipelines.events import funnel_conversions
-
-    return funnel_conversions(sf_dir)
-
-
-def _q_events_bigrams(sf_dir: str):
-    from rios_ray.pipelines.events import event_type_bigrams
-
-    return event_type_bigrams(sf_dir)
-
-
-def _q_lang_confusion(sf_dir: str):
-    from rios_ray.pipelines.text import lang_confusion
-
-    return lang_confusion(sf_dir)
-
-
-def _q_events_retention(sf_dir: str):
-    from rios_ray.pipelines.events import retention_cohorts
-
-    return retention_cohorts(sf_dir)
-
-
-def _q_events_anomalies(sf_dir: str):
-    from rios_ray.pipelines.events import window_anomalies
-
-    return window_anomalies(sf_dir, sigma=2.0)
-
-
-def _q_doc_corr(sf_dir: str):
-    from rios_ray.pipelines.text import doc_length_token_corr
-
-    return doc_length_token_corr(sf_dir)
-
-
-def _q_media_frame_dedup(sf_dir: str):
-    from rios_ray.pipelines.multimodal import frame_dedup
-
-    # md5 key: exactly matches DuckDB md5() (the library default is the
-    # vectorized FNV key — same groups up to 64-bit collisions)
-    return frame_dedup(sf_dir, key="md5")
 
 
 def _q_media_frame_samples(sf_dir: str):
@@ -969,53 +394,13 @@ def _q_media_frame_samples(sf_dir: str):
     )
 
 
-def _q_knn_embeddings(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    return E.knn_embeddings(sf_dir, k=10)
-
-
-def _q_knn_embeddings_ivf(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    # nprobe == nlist: every IVF cell is probed, so the result equals
-    # exact brute force and the whole path (centroid train/broadcast,
-    # per-batch cell assignment + masked matmul, shared merge) is
-    # SQL-oracle-gated.  The approximate configuration (nprobe=4) keeps
-    # its recall gate in tests/test_embeddings.py.
-    return E.knn_embeddings_ivf(sf_dir, k=10, nlist=16, nprobe=16)
-
-
-def _q_knn_embeddings_pq(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    # shortlist >= batch_size: every row of a batch survives the ADC
-    # shortlist, and the exact-cosine rerank makes the output equal
-    # brute force — the codebook/encode/LUT-scoring plumbing is still
-    # fully exercised, now SQL-gated.  The approximate configuration
-    # (shortlist=50) keeps its recall gate in tests/test_embeddings.py.
-    return E.knn_embeddings_pq(sf_dir, k=10, shortlist=E.BATCH_SIZE)
-
-
-def _q_emb_neardup(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    return E.cosine_neardup(sf_dir, threshold=0.8)
-
-
-def _q_emb_neardup_lsh(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    return E.cosine_neardup_lsh(sf_dir, threshold=0.8)
-
-
-def _q_emb_neardup_clusters(sf_dir: str):
-    from rios_ray.pipelines import embeddings as E
-
-    return E.cosine_neardup_clusters(sf_dir, threshold=0.8)
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
+    """Every oracle-gated query by name; each value takes ``sf_dir``."""
+    from functools import partial
+
+    from rios_ray.pipelines import (dedup, embeddings, events, multimodal, pages,
+                                    relational, spatial_ops, text)
+
     # materialize the shared deterministic inputs before any oracle runs
     synth.ensure_pages(SF001)
     synth.ensure_pages("/root/testdata/sf0.001")
@@ -1025,103 +410,109 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # so a query a change touches stays inside them;
     # tools/check_correctness.py witnesses all of them.
     return {
-        # --- events (r3 window; quantiles/HLL/deltas touched r4) ---
-        "events_sessions": _q_events_sessions,
-        "events_value_quantiles": _q_events_value_quantiles,
-        "events_quantiles_sketch": _q_events_quantiles_sketch,
-        "events_value_deltas": _q_events_value_deltas,
-        "events_users_hll": _q_events_users_hll,  # SQL-gated via register sidecar (r4)
-        "events_value_mean": _q_events_value_mean,  # bit-exact float sum (fsum-gated, r4)
-        # --- relational tail ---
-        "rel_q18_big_orders": _q_rel_q18,
-        "rel_q10_returned_revenue": _q_rel_q10,
-        "rel_q4_bloom": _q_rel_q4_bloom,
-        # --- NEW round 5: the suite-completing eight ---
-        "rel_q2_min_cost_supplier": _q_rel_q2,
-        "rel_q8_market_share": _q_rel_q8,
-        "rel_q9_nation_profit": _q_rel_q9,
-        "rel_q11_important_parts": _q_rel_q11,
-        "rel_q15_top_supplier": _q_rel_q15,
-        "rel_q16_supplier_counts": _q_rel_q16,
-        "rel_q19_disjunctive_revenue": _q_rel_q19,
-        "rel_q20_excess_suppliers": _q_rel_q20,
-        # --- rotated IN round 4 (see policy above) ---
-        "rel_q7_volume_shipping": _q_rel_q7,
-        "cell_gradient": _q_cell_gradient,
-        "cell_compact": _q_cell_compact,  # NEW round 5 (H3-compact analogue)
-        "cell_band_math": _q_cell_band_math,  # NEW round 5 (RIOS band math)
-        "decontaminate": _q_decontaminate,
-        "polygon_raster_cells": _q_polygon_raster_cells,
-        # --- NEW round 4 (q13 join-free distribution, q17 correlated
-        # --- avg self-join, q21 EXISTS+NOT EXISTS chain) ---
-        "rel_q13_customer_distribution": _q_rel_q13,
-        "dedup_edit_pairs": _q_dedup_edit_pairs,
-        "neardup_pagerank": _q_neardup_pagerank,
-        "neardup_triangles": _q_neardup_triangles,
-        "quality_weighted_sample": _q_quality_weighted_sample,
-        "bm25_scores": _q_bm25_scores,
-        "token_percentile_rank": _q_token_percentile_rank,
-        "rel_q17_small_quantity_revenue": _q_rel_q17,
-        "rel_q21_returns_suppliers": _q_rel_q21,
-        # --- media ---
+        "events_sessions": events.session_windows,
+        "events_value_quantiles": events.value_quantiles_per_type,
+        # the default capacity holds every fixture group, so the sketch
+        # is exact here; tests gate the approximate configuration
+        "events_quantiles_sketch": events.value_quantiles_sketch,
+        "events_value_deltas": events.value_deltas,
+        "events_users_hll": events.distinct_users_hll,
+        "events_value_mean": events.value_mean_per_type,
+        "rel_q18_big_orders": relational.q18_big_orders,
+        "rel_q10_returned_revenue": relational.q10_returned_revenue,
+        "rel_q4_bloom": partial(relational.q4_order_priority, use_bloom=True),
+        "rel_q2_min_cost_supplier": relational.q2_min_cost_supplier,
+        "rel_q8_market_share": relational.q8_market_share,
+        "rel_q9_nation_profit": relational.q9_nation_profit,
+        "rel_q11_important_parts": relational.q11_important_parts,
+        "rel_q15_top_supplier": relational.q15_top_supplier,
+        "rel_q16_supplier_counts": relational.q16_supplier_counts,
+        "rel_q19_disjunctive_revenue": relational.q19_disjunctive_revenue,
+        "rel_q20_excess_suppliers": relational.q20_excess_suppliers,
+        "rel_q7_volume_shipping": relational.q7_volume_shipping,
+        "cell_gradient": spatial_ops.cell_gradient,
+        "cell_compact": spatial_ops.compact_cells,
+        "cell_band_math": pages.cell_band_math,
+        "decontaminate": text.decontaminate,
+        "polygon_raster_cells": spatial_ops.polygon_raster_cells,
+        "rel_q13_customer_distribution": relational.q13_customer_distribution,
+        "dedup_edit_pairs": dedup.edit_distance_pairs,
+        "neardup_pagerank": dedup.neardup_pagerank,
+        "neardup_triangles": dedup.neardup_triangles,
+        "quality_weighted_sample": text.quality_weighted_sample,
+        "bm25_scores": text.bm25_scores,
+        "token_percentile_rank": text.token_percentile_rank,
+        "rel_q17_small_quantity_revenue": relational.q17_small_quantity_revenue,
+        "rel_q21_returns_suppliers": relational.q21_returns_suppliers,
         "media_image_features": _q_media_image_features,
         "media_frame_samples": _q_media_frame_samples,
-        "media_frame_dedup": _q_media_frame_dedup,  # frame_key rename (r5)
-        # --- (b) touched this round / flagship-critical ---
-        "flagship_cell_category": _q_flagship,
-        "pages_cube": _q_pages_cube,
-        "knn_pages_cellring": _q_knn_cellring,
-        "dedup_winnow_pairs": _q_dedup_winnow_pairs,
-        "dedup_exact": _q_dedup_exact,
-        "dedup_minhash_pairs": _q_dedup_minhash,
-        # --- (c) new this round ---
-        "tfidf_top_terms": _q_tfidf_top_terms,
-        "bigram_lm": _q_bigram_lm,  # r5-touched (shared combiner refactor)
-        "bigram_pmi": _q_bigram_pmi,  # NEW round 5
-        "events_rolling_extrema": _q_events_rolling_extrema,
-        "emb_kmeans_assign": _q_emb_kmeans_assign,
-        "grid_dbscan": _q_grid_dbscan,
-        "pip_join_left": _q_pip_join_left,
-        "doc_bigram_coverage": _q_doc_bigram_coverage,
-        "media_image_ahash": _q_media_image_ahash,
+        # md5 key: exactly matches DuckDB md5() (the library default is the
+        # vectorized FNV key — same groups up to 64-bit collisions)
+        "media_frame_dedup": partial(multimodal.frame_dedup, key="md5"),
+        "flagship_cell_category": pages.flagship,
+        "pages_cube": pages.pages_cube,
+        "knn_pages_cellring": pages.knn_pages_cellring,
+        "dedup_winnow_pairs": dedup.winnow_pairs,
+        "dedup_exact": partial(dedup.exact_dedup, key="md5"),
+        "dedup_minhash_pairs": dedup.minhash_pairs,
+        "tfidf_top_terms": text.tfidf_top_terms,
+        "bigram_lm": text.bigram_lm,
+        "bigram_pmi": text.bigram_pmi,
+        "events_rolling_extrema": events.rolling_extrema,
+        "emb_kmeans_assign": embeddings.kmeans_assign,
+        "grid_dbscan": spatial_ops.grid_dbscan,
+        "pip_join_left": spatial_ops.pip_join_left,
+        "doc_bigram_coverage": text.doc_bigram_coverage,
+        "media_image_ahash": multimodal.image_ahash,
         # ---------- entries below are outside the gated first 50
-        "events_top_users_per_window": _q_events_top_users,
-        "host_crawl_sessions": _q_host_crawl_sessions,
-        "events_window_anomalies": _q_events_anomalies,
-        "events_range_join": _q_events_range_join,
-        "rel_q12_priority_lines": _q_rel_q12,
+        "events_top_users_per_window": events.top_users_per_window,
+        # 20-day gap: the fixture's per-host revisit spacing straddles it
+        # (60k pages -> 36.6k sessions at sf0.01), so the gap cumsum and
+        # per-host ordinals are non-trivially exercised
+        "host_crawl_sessions": partial(pages.host_crawl_sessions,
+                                       gap_us=20 * 86_400 * 1_000_000),
+        "events_window_anomalies": events.window_anomalies,
+        "events_range_join": events.range_join_counts,
+        "rel_q12_priority_lines": relational.q12_priority_lines,
         "rat_derive": _q_rat_derive,
         "rat_derive_store": _q_rat_derive_store,
-        "knn_embeddings_ivf": _q_knn_embeddings_ivf,
-        "knn_embeddings_pq": _q_knn_embeddings_pq,
-        "emb_neardup_lsh": _q_emb_neardup_lsh,
-        "emb_neardup_clusters": _q_emb_neardup_clusters,
-        "events_tumbling": _q_events_tumbling,
-        "events_sliding": _q_events_sliding,
-        "events_funnel": _q_events_funnel,
-        "events_distinct_users": _q_events_distinct_users,
-        "events_asof_join": _q_events_asof,
+        # nprobe == nlist: every IVF cell is probed, so the result equals
+        # exact brute force; the approximate configuration keeps its
+        # recall gate in tests/test_embeddings.py
+        "knn_embeddings_ivf": partial(embeddings.knn_embeddings_ivf, nprobe=16),
+        # shortlist >= batch_size: every row survives the ADC shortlist and
+        # the exact-cosine rerank equals brute force; the approximate
+        # configuration keeps its recall gate in tests/test_embeddings.py
+        "knn_embeddings_pq": partial(embeddings.knn_embeddings_pq,
+                                     shortlist=embeddings.BATCH_SIZE),
+        "emb_neardup_lsh": embeddings.cosine_neardup_lsh,
+        "emb_neardup_clusters": embeddings.cosine_neardup_clusters,
+        "events_tumbling": events.tumbling_counts,
+        "events_sliding": events.sliding_counts,
+        "events_funnel": events.funnel_conversions,
+        "events_distinct_users": events.distinct_users,
+        "events_asof_join": events.asof_last_event,
         "rat_colstats": _q_rat_colstats,
-        "knn_embeddings": _q_knn_embeddings,
-        "emb_neardup": _q_emb_neardup,
-        "doc_length_token_corr": _q_doc_corr,
-        "events_retention": _q_events_retention,
-        "events_bigrams": _q_events_bigrams,
-        "lang_confusion": _q_lang_confusion,
-        "rel_q22_idle_customers": _q_rel_q22,
-        "rel_q14_type_revenue": _q_rel_q14,
-        "dedup_minhash_clusters": _q_dedup_clusters,
+        "knn_embeddings": embeddings.knn_embeddings,
+        "emb_neardup": embeddings.cosine_neardup,
+        "doc_length_token_corr": text.doc_length_token_corr,
+        "events_retention": events.retention_cohorts,
+        "events_bigrams": events.event_type_bigrams,
+        "lang_confusion": text.lang_confusion,
+        "rel_q22_idle_customers": relational.q22_idle_customers,
+        "rel_q14_type_revenue": relational.q14_type_revenue,
+        "dedup_minhash_clusters": dedup.minhash_clusters,
         "text_winnow": _q_text_winnow,
-        "dedup_jaccard_pairs": _q_dedup_jaccard,
-        "dedup_simhash_pairs": _q_dedup_simhash,
-        "dedup_paragraphs": _q_dedup_paragraphs,
+        "dedup_jaccard_pairs": dedup.jaccard_pairs,
+        "dedup_simhash_pairs": dedup.simhash_pairs,
+        "dedup_paragraphs": partial(text.paragraph_dedup, sep=" the "),
         "flagship_resumable": _q_flagship_resumable,
-        "knn_pages": _q_knn,
+        "knn_pages": pages.knn_pages,
         "cell_pages_capped": _q_cell_pages_capped,
-        "host_counts": _q_host_counts,
+        "host_counts": pages.host_counts,
         "pip_join_pairs": _q_pip_join_pairs,
-        "zonal_stats": _q_zonal_stats,
-        "radius_join": _q_radius_join,
+        "zonal_stats": spatial_ops.zonal_stats,
+        "radius_join": spatial_ops.radius_join,
         "extracted_text": _q_extracted_text,
         "geocode_cells": _q_geocode_cells,
         "cell_counts": _q_cell_counts,
@@ -1129,30 +520,31 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pip_join_counts": _q_pip_join_counts,
         "s2_cells": _q_s2_cells,
         "hex_cells": _q_hex_cells,
-        "cell_rollup": _q_cell_rollup,
-        "s2_rollup": _q_s2_rollup,
-        "cell_focal_stats": _q_cell_focal_stats,
-        "top_pages_per_host": _q_top_pages_per_host,
-        "url_canonical": _q_url_canonical,
-        "text_token_stats": _q_text_token_stats,
-        "text_quality": _q_text_quality,
-        "text_repetition": _q_text_repetition,
-        "corpus_clean": _q_corpus_clean,
-        "text_lang_id": _q_text_lang_id,
+        "cell_rollup": spatial_ops.cell_rollup,
+        "s2_rollup": spatial_ops.s2_rollup,
+        "cell_focal_stats": spatial_ops.cell_focal_stats,
+        "top_pages_per_host": pages.top_pages_per_host,
+        "url_canonical": pages.url_canonical,
+        "text_token_stats": text.token_stats,
+        "text_quality": text.quality,
+        "text_repetition": text.repetition,
+        "corpus_clean": text.corpus_clean,
+        "text_lang_id": text.lang_id,
         "text_md5": _q_text_md5,
-        "text_topk_tokens": _q_text_topk,
-        "text_pii": _q_text_pii,
-        "vocab_topk": _q_vocab_topk,
-        "token_quantiles": _q_token_quantiles,
-        "stratified_sample": _q_stratified_sample,
-        "text_heavy_hitters": _q_heavy_hitters,
-        "doc_zscores": _q_doc_zscores,
-        "host_char_share": _q_host_char_share,
-        "rel_q1_pricing": _q_rel_q1,
-        "rel_q3_top_orders": _q_rel_q3,
-        "rel_q5_nation_revenue": _q_rel_q5,
-        "rel_q6_forecast_revenue": _q_rel_q6,
-        "rel_q4_order_priority": _q_rel_q4,
+        "text_topk_tokens": text.top_token_pages,
+        "text_pii": text.pii,
+        "vocab_topk": text.vocab_topk,
+        "token_quantiles": text.token_quantiles,
+        "stratified_sample": partial(text.stratified_sample,
+                                     rates={"src0": 1.0, "src1": 0.0}),
+        "text_heavy_hitters": text.heavy_hitter_tokens,
+        "doc_zscores": text.doc_zscores,
+        "host_char_share": pages.host_char_share,
+        "rel_q1_pricing": relational.q1_pricing_summary,
+        "rel_q3_top_orders": relational.q3_top_orders,
+        "rel_q5_nation_revenue": relational.q5_nation_revenue,
+        "rel_q6_forecast_revenue": relational.q6_forecast_revenue,
+        "rel_q4_order_priority": relational.q4_order_priority,
     }
 
 
@@ -2514,6 +1906,24 @@ def _events_oracle_sql() -> dict[str, str]:
     }
 
 
+def _knn_sql(k: int) -> str:
+    """Exact kNN oracle: every query point's ``k`` nearest pages by
+    squared degree distance, ties broken by url, ranked from 1."""
+    return f"""
+        WITH pts AS ({_pages_sql()}),
+        dists AS (
+            SELECT q.qid, p.url,
+                   (p.lon - q.qlon) * (p.lon - q.qlon)
+                 + (p.lat - q.qlat) * (p.lat - q.qlat) AS d2
+              FROM pts p CROSS JOIN read_parquet('{synth.knn_queries_path()}') q
+        )
+        SELECT qid, url, d2,
+               row_number() OVER (PARTITION BY qid ORDER BY d2, url) AS rank
+          FROM dists
+        QUALIFY rank <= {k}
+    """
+
+
 def oracle_sql() -> dict[str, str]:
     ppath = synth.polygons_path()
     qpath = synth.knn_queries_path()
@@ -2941,30 +2351,6 @@ def oracle_sql() -> dict[str, str]:
                              {_FRAME_BYTES}) AS frame
               FROM idx
         """,
-        "knn_pages": f"""
-            WITH pts AS ({_pages_sql()}),
-            dists AS (
-                SELECT q.qid, p.url,
-                       (p.lon - q.qlon) * (p.lon - q.qlon)
-                     + (p.lat - q.qlat) * (p.lat - q.qlat) AS d2
-                  FROM pts p CROSS JOIN read_parquet('{qpath}') q
-            )
-            SELECT qid, url, d2,
-                   row_number() OVER (PARTITION BY qid ORDER BY d2, url) AS rank
-              FROM dists
-            QUALIFY rank <= 10
-        """,
-        "knn_pages_cellring": f"""
-            WITH pts AS ({_pages_sql()}),
-            dists AS (
-                SELECT q.qid, p.url,
-                       (p.lon - q.qlon) * (p.lon - q.qlon)
-                     + (p.lat - q.qlat) * (p.lat - q.qlat) AS d2
-                  FROM pts p CROSS JOIN read_parquet('{qpath}') q
-            )
-            SELECT qid, url, d2,
-                   row_number() OVER (PARTITION BY qid ORDER BY d2, url) AS rank
-              FROM dists
-            QUALIFY rank <= 10
-        """,
+        "knn_pages": _knn_sql(10),
+        "knn_pages_cellring": _knn_sql(10),
     }

@@ -137,11 +137,18 @@ def in_memory(table: pa.Table):
     return out
 
 
+def combine_sorted(table: pa.Table, keys: list[str],
+                   aggs: list[tuple[str | None, str, str]]) -> pa.Table:
+    """:func:`combine_partials` with its rows sorted by ``keys``: a
+    driver-side final comes out in the same order on every run."""
+    return combine_partials(table, keys, aggs).sort_by([(k, "ascending") for k in keys])
+
+
 def combine_tree(partials, keys: list[str], aggs: list[tuple[str | None, str, str]]):
     """Gather every partial to the driver and combine once
-    (:func:`gather_final`): no keyed exchange, so only for a bounded
-    distinct-key count."""
-    return gather_final(partials, lambda t: combine_partials(t, keys, aggs))
+    (:func:`gather_final`), rows sorted by ``keys``: no keyed exchange,
+    so only for a bounded distinct-key count."""
+    return gather_final(partials, lambda t: combine_sorted(t, keys, aggs))
 
 
 def hash_grouped_aggregate(
@@ -159,11 +166,11 @@ def hash_grouped_aggregate(
     - ``"partition"`` (default): combine the partials per partition of
       the keyed exchange (:func:`hash_partitioned_groups`) — scales to
       unbounded key cardinality (dedup md5s, pair keys).
-    - ``"tree"``: gather all partials to the driver and combine once
-      (:func:`combine_tree`) — no keyed exchange (the sort barrier costs
-      a serial tail, measured ~2 s at sf0.5).  Use ONLY when the
-      distinct-key count is bounded (grid cells x categories), since
-      the driver holds every partial.  Executes eagerly.
+    - ``"tree"``: gather all partials to the driver and combine once,
+      rows sorted by ``keys`` (:func:`combine_tree`) — no keyed exchange
+      (the sort barrier costs a serial tail, measured ~2 s at sf0.5).
+      Use ONLY when the distinct-key count is bounded (grid cells x
+      categories), since the driver holds every partial.  Executes eagerly.
     """
     partials = partial_aggregate(ds, keys, aggs)
     if final_mode == "tree":

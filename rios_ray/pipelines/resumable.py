@@ -4,7 +4,7 @@ Each input shard runs the flagship's exchange-free map chain
 (:func:`pages.flagship_partials`) as one fused job and writes its
 per-block ``(cell, category, n_pages)`` partials to
 ``out_dir/part=<shard>/`` with a lineage record.  The finalize folds the
-committed partials on the driver with ``combine_partials``: counts are
+committed partials on the driver with ``combine_sorted``: counts are
 associative (like the reference's single-pass stats partials,
 ``/root/reference/rios/calcstats.py:656-692``), so a resumed run equals
 a fresh one and :func:`pages.flagship`.
@@ -23,7 +23,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from .. import synth
-from ..functions.agg import combine_partials, in_memory
+from ..functions.agg import combine_sorted, in_memory
 from ..runtime import run_resumable, shard_partitions
 from .pages import FLAGSHIP_AGGS, FLAGSHIP_KEYS, flagship_partials
 
@@ -45,5 +45,4 @@ def finalize_flagship(out_dir: str) -> ray.data.Dataset:
     driver-side combine (cell x category is grid-bounded)."""
     files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
     partials = pa.concat_tables(pq.read_table(f) for f in files)
-    counts = combine_partials(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS)
-    return in_memory(counts.sort_by([(k, "ascending") for k in FLAGSHIP_KEYS]))
+    return in_memory(combine_sorted(partials, FLAGSHIP_KEYS, FLAGSHIP_AGGS))

@@ -3,16 +3,13 @@ import pytest
 
 @pytest.fixture(scope="session")
 def ray_session():
-    """One Ray session for the whole pytest run (per driver contract)."""
+    """One Ray session for the whole pytest run, at 4 CPUs and with the
+    executor settings every harness runs under (``rios_ray.session``)."""
     import ray
 
-    ray.init(
-        address="local",
-        num_cpus=4,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
+    from rios_ray import session
+
+    session.init(4)
     yield
     ray.shutdown()
 
